@@ -1011,10 +1011,12 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
         let algorithms = resolve_algorithms algo info in
         match scenario with
         | Some path ->
-            (* Seed and horizon come from the file's directives, as before. *)
+            (* -s/-n override the file's directives; absent, the
+               directives (or their defaults) apply. *)
             let labeled =
               List.map
-                (fun name -> (name, Spec.of_scenario_file ~sched:name path))
+                (fun name ->
+                  (name, Spec.of_scenario_file ~sched:name ?seed ?horizon path))
                 algorithms
             in
             let sp = snd (List.hd labeled) in
@@ -1026,6 +1028,8 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
             let scn =
               Spec.example ?sum:(if example <= 2 then Some sum else None) example
             in
+            let seed = Option.value seed ~default:Spec.default_seed
+            and horizon = Option.value horizon ~default:Spec.default_horizon in
             let labeled =
               List.map
                 (fun name -> (name, Spec.make ~seed ~horizon ~sched:name scn))
@@ -1116,13 +1120,25 @@ open Cmdliner
 let example_arg =
   Arg.(value & opt int 1 & info [ "e"; "example" ] ~doc:"Paper example (1-6).")
 
-let seed_arg = Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc:"PRNG seed.")
+let seed_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "s"; "seed" ]
+        ~absent:
+          (Printf.sprintf "%d, or the scenario file's seed directive"
+             Spec.default_seed)
+        ~doc:"PRNG seed.")
 
 let horizon_arg =
   Arg.(
     value
-    & opt int Spec.default_horizon
-    & info [ "n"; "horizon" ] ~doc:"Slots to simulate.")
+    & opt (some int) None
+    & info [ "n"; "horizon" ]
+        ~absent:
+          (Printf.sprintf "%d, or the scenario file's horizon directive"
+             Spec.default_horizon)
+        ~doc:"Slots to simulate.")
 
 let sum_arg =
   Arg.(

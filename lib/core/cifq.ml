@@ -191,12 +191,12 @@ let[@hot] select t ~slot:_ ~predicted_good =
 
 (* Keep the backlog index and heap in step with queue emptiness; a flow's
    virtual time is frozen while it is absent and re-indexed on return. *)
+let index t flow =
+  Flow_set.add t.backlog flow;
+  Flow_heap.set t.heap ~flow ~tag:t.flows.(flow).v
+
 let index_if_became_backlogged t flow =
-  let fs = t.flows.(flow) in
-  if Queue.length fs.packets = 1 then begin
-    Flow_set.add t.backlog flow;
-    Flow_heap.set t.heap ~flow ~tag:fs.v
-  end
+  if Queue.length t.flows.(flow).packets = 1 then index t flow
 
 let deindex_if_empty t flow =
   if not (backlogged t.flows.(flow)) then begin
@@ -290,6 +290,10 @@ let instance t =
             (fun () -> Flow_set.cardinal t.backlog = 0);
           advance_quiescent = (fun ~now:_ ~slots -> slots);
         };
+    queues =
+      Wireless_sched.fifo_queues
+        ~queue:(fun flow -> t.flows.(flow).packets)
+        ~on_backlogged:(index t) ~on_emptied:(deindex_if_empty t);
   }
 
 let lag t ~flow = t.flows.(flow).lag

@@ -208,4 +208,9 @@ let instance t =
           advance_quiescent =
             (fun ~now ~slots -> advance_quiescent t ~now ~slots);
         };
+    queues =
+      Wireless_sched.fifo_queues
+        ~queue:(fun flow -> t.queues.(flow))
+        ~on_backlogged:(Flow_set.add t.backlog)
+        ~on_emptied:(deindex_if_empty t);
   }

@@ -111,13 +111,17 @@ let deindex_if_empty t i =
     Flow_heap.remove t.heap ~flow:i
   end
 
-let enqueue t ~slot:_ (pkt : Packet.t) =
-  let fs = t.flows.(pkt.flow) in
-  Fluid_ref.add_arrivals t.fluid ~flow:pkt.flow ~count:1;
+(* Routed by [flow], not [pkt.flow], so a whole-queue handover can reuse
+   it on packets whose [flow] field is stale. *)
+let enqueue_to t ~flow pkt =
+  let fs = t.flows.(flow) in
+  Fluid_ref.add_arrivals t.fluid ~flow ~count:1;
   ignore (Slot_queue.add fs.slots ~v:(Fluid_ref.virtual_time t.fluid));
   Deque.push_back fs.packets pkt;
   (* The head slot only changes when the queue was empty. *)
-  if Deque.length fs.packets = 1 then refresh_flow t pkt.flow
+  if Deque.length fs.packets = 1 then refresh_flow t flow
+
+let enqueue t ~slot:_ (pkt : Packet.t) = enqueue_to t ~flow:pkt.flow pkt
 
 (* Drop the newest packet so the flow keeps its earliest (lowest-tag)
    slots; used when the lag bound deletes slots.  O(1) on the deque — the
@@ -243,6 +247,26 @@ let drop_expired t ~flow ~now ~bound =
   dropped
 
 let queue_length t flow = Deque.length t.flows.(flow).packets
+
+(* Whole-queue handover.  Each packet owns a slot tag stamped from the
+   fluid reference on arrival, so both directions stay per packet: [take]
+   empties the slot queue the way [drop_head] does, and [give] tags every
+   packet as [enqueue] would. *)
+let take t ~flow =
+  let fs = t.flows.(flow) in
+  let q = Queue.create () in
+  Deque.iter (fun pkt -> Queue.push pkt q) fs.packets;
+  Deque.clear fs.packets;
+  while Option.is_some (Slot_queue.pop_back fs.slots) do
+    ()
+  done;
+  deindex_if_empty t flow;
+  q
+
+let give t ~flow q =
+  Queue.iter (fun pkt -> enqueue_to t ~flow pkt) q;
+  Queue.clear q
+
 let on_slot_end t ~slot:_ = Fluid_ref.step t.fluid
 
 (* An empty real backlog does not mean an empty fluid reference: the fluid
@@ -290,4 +314,9 @@ let instance t =
           advance_quiescent =
             (fun ~now ~slots -> advance_quiescent t ~now ~slots);
         };
+    queues =
+      {
+        Wireless_sched.take = (fun ~flow -> take t ~flow);
+        give = (fun ~flow ~slot:_ q -> give t ~flow q);
+      };
   }

@@ -29,6 +29,28 @@ type quiescent = {
   advance_quiescent : now:int -> slots:int -> int;
 }
 
+type queues = {
+  take : flow:int -> Wfs_traffic.Packet.t Queue.t;
+  give : flow:int -> slot:int -> Wfs_traffic.Packet.t Queue.t -> unit;
+}
+
+let fifo_queues ~queue ~on_backlogged ~on_emptied =
+  {
+    take =
+      (fun ~flow ->
+        let src = queue flow and q = Queue.create () in
+        if not (Queue.is_empty src) then begin
+          Queue.transfer src q;
+          on_emptied flow
+        end;
+        q);
+    give =
+      (fun ~flow ~slot:_ q ->
+        let dst = queue flow in
+        if Queue.is_empty dst && not (Queue.is_empty q) then on_backlogged flow;
+        Queue.transfer q dst);
+  }
+
 type instance = {
   name : string;
   enqueue : slot:int -> Wfs_traffic.Packet.t -> unit;
@@ -43,4 +65,5 @@ type instance = {
   probe : probe;
   handoff : handoff option;
   quiescent : quiescent option;
+  queues : queues;
 }

@@ -109,6 +109,39 @@ type quiescent = {
           enforces this per scheduler. *)
 }
 
+(** {1 Whole-queue handover}
+
+    A topology barrier rebuilds a cell's scheduler from scratch, but a
+    flow that stays in the cell keeps its backlog.  Rather than draining
+    that backlog packet by packet and re-enqueueing it, the barrier moves
+    the flow's FIFO across in one piece. *)
+type queues = {
+  take : flow:int -> Wfs_traffic.Packet.t Queue.t;
+      (** [take ~flow] detaches the flow's queued packets, head first, and
+          leaves the flow empty — the scheduler ends in exactly the state
+          that draining the flow with [head]/[drop_head] would leave. *)
+  give : flow:int -> slot:int -> Wfs_traffic.Packet.t Queue.t -> unit;
+      (** [give ~flow ~slot q] appends [q]'s packets to [flow]'s queue and
+          empties [q].  The scheduler ends byte-identical to calling
+          [enqueue ~slot] on each packet in order with its [flow] field set
+          to [flow].  Packets are routed by [~flow] only: their [flow]
+          field is never read and may be stale.  O(1) for queue-backed
+          disciplines (WPS, CIF-Q, CSDPS); per packet for IWFQ, which tags
+          every packet on arrival. *)
+}
+
+val fifo_queues :
+  queue:(int -> Wfs_traffic.Packet.t Queue.t) ->
+  on_backlogged:(int -> unit) ->
+  on_emptied:(int -> unit) ->
+  queues
+(** The O(1) handover of a scheduler that keeps each flow's packets in a
+    [Queue.t] ([queue flow]) plus an index of backlogged flows:
+    [Queue.transfer] moves the packets, [on_backlogged flow] runs when a
+    give turns an empty flow non-empty (as its first [enqueue] would), and
+    [on_emptied flow] when a take empties a non-empty one (as its last
+    [drop_head] would). *)
+
 type instance = {
   name : string;
   enqueue : slot:int -> Wfs_traffic.Packet.t -> unit;
@@ -144,4 +177,7 @@ type instance = {
       (** Closed-form idle-window advancement; [None] forces the per-slot
           path (the simulator's fast path degenerates to the reference
           loop for such schedulers). *)
+  queues : queues;
+      (** Whole-queue handover, used by {!Wfs_topo} for flows that stay in
+          a cell across an epoch barrier. *)
 }

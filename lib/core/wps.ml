@@ -426,6 +426,11 @@ let instance t =
                       "selected flow %d with empty backlog" f);
               slots);
         };
+    queues =
+      Wireless_sched.fifo_queues
+        ~queue:(fun flow -> t.flows.(flow).packets)
+        ~on_backlogged:(Flow_set.add t.backlog)
+        ~on_emptied:(deindex_if_empty t);
   }
 
 let credit t ~flow = Credit.balance t.flows.(flow).credit

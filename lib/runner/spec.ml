@@ -96,8 +96,8 @@ let with_horizon horizon t =
 let with_sched sched t = { t with sched }
 let with_topo topo t = { t with topo = Some topo }
 
-let of_scenario_file ?(sched = "WPS") path =
-  let sc = Wfs_core.Scenario.load path in
+let of_scenario_file ?(sched = "WPS") ?seed ?horizon path =
+  let sc = Wfs_core.Scenario.load ?seed ?horizon path in
   {
     scenario = File path;
     sched;

@@ -124,10 +124,11 @@ val with_horizon : int -> t -> t
 val with_sched : string -> t -> t
 val with_topo : topo -> t -> t
 
-val of_scenario_file : ?sched:string -> string -> t
+val of_scenario_file : ?sched:string -> ?seed:int -> ?horizon:int -> string -> t
 (** [of_scenario_file path] parses the scenario file and lifts it into a
-    spec, taking seed and horizon from the file's directives (their
-    defaults when absent).  [sched] defaults to ["WPS"].
+    spec.  [seed] and [horizon] override the file's directives when given;
+    otherwise they come from the directives (their defaults when absent).
+    [sched] defaults to ["WPS"].
     @raise Wfs_core.Scenario.Parse_error or [Sys_error]. *)
 
 (** {1 Serialization} *)

@@ -10,12 +10,19 @@ module Error = Wfs_util.Error
 
 type member = { gid : int; setup : Sim.flow_setup }
 
+type backlog = Drained of Packet.t list | Detached of Packet.t Queue.t
+
 type parcel = {
   member : member;
   carry : Sched.carry;
-  backlog : Packet.t list;
+  backlog : backlog;
   moved : bool;
 }
+
+let backlog_length p =
+  match p.backlog with
+  | Drained pkts -> List.length pkts
+  | Detached q -> Queue.length q
 
 (* Observability tap: every callback fires from sequential code only —
    [on_roster] and [on_carry] from install (cell creation and the epoch
@@ -92,7 +99,8 @@ let account_carry t ~accepted ~truncated =
 
 (* (Re)construct the scheduler and session over a parcel list: re-number
    flows to dense local ids in ascending global id, import carries,
-   re-enqueue backlogs, resume at [slot]. *)
+   re-attach backlogs (detached queues whole, drained packets one by one
+   under their new local id), resume at [slot]. *)
 let install t ~slot parcels =
   let parcels =
     List.sort (fun a b -> Int.compare a.member.gid b.member.gid) parcels
@@ -155,9 +163,13 @@ let install t ~slot parcels =
       parcels;
     List.iteri
       (fun lid p ->
-        List.iter
-          (fun pkt -> sched.Sched.enqueue ~slot { pkt with Packet.flow = lid })
-          p.backlog)
+        match p.backlog with
+        | Detached q -> sched.Sched.queues.Sched.give ~flow:lid ~slot q
+        | Drained pkts ->
+            List.iter
+              (fun pkt ->
+                sched.Sched.enqueue ~slot { pkt with Packet.flow = lid })
+              pkts)
       parcels;
     let cfg =
       Sim_config.v ~horizon:t.horizon setups
@@ -231,7 +243,12 @@ let create ?credit_limit ?debit_limit ?(histograms = false)
   install t ~slot:0
     (List.map
        (fun m ->
-         { member = m; carry = Sched.carry_zero; backlog = []; moved = false })
+         {
+           member = m;
+           carry = Sched.carry_zero;
+           backlog = Drained [];
+           moved = false;
+         })
        members);
   t
 
@@ -245,7 +262,7 @@ let bank t session =
   Metrics.absorb t.totals ~src:(Sim.Session.metrics session)
     ~map:(fun lid -> t.members.(lid).gid)
 
-let dissolve t =
+let dissolve ?(leaving = fun _ -> true) t =
   match (t.session, t.sched) with
   | Some session, Some sched ->
       bank t session;
@@ -271,12 +288,11 @@ let dissolve t =
                      drain (pkt :: acc)
                  | None -> List.rev acc
                in
-               {
-                 member = m;
-                 carry = carries.(lid);
-                 backlog = drain [];
-                 moved = false;
-               })
+               let backlog =
+                 if leaving m.gid then Drained (drain [])
+                 else Detached (sched.Sched.queues.Sched.take ~flow:lid)
+               in
+               { member = m; carry = carries.(lid); backlog; moved = false })
              t.members)
       in
       t.session <- None;

@@ -7,15 +7,23 @@
     metrics into a topology-wide accumulator (indexed by {e global} flow
     id) and serializes every member into a {!parcel} — its §5/§7
     compensation {!Wfs_core.Wireless_sched.carry} exported through the
-    scheduler's handoff hook plus its backlog drained in FIFO order —
-    then {!rebuild} re-admits a (possibly different) parcel list: flows
+    scheduler's handoff hook plus its backlog.  A flow that {e leaves}
+    the cell (a mover, or an orphan of a crashed cell) has its backlog
+    drained FIFO through [head]/[drop_head]; a flow that {e stays} has its
+    whole queue detached through {!Wfs_core.Wireless_sched.queues} [take].
+    Then {!rebuild} re-admits a (possibly different) parcel list: flows
     are re-numbered to dense local ids in ascending global id, the
     scheduler is constructed fresh, carries are imported (clamped to the
-    new scheduler's bounds, with truncation accounted), backlogs are
-    re-enqueued, and a new session resumes at the barrier slot.  Sources
-    and channels live in the {!member} and are queried with absolute slot
-    numbers, so a flow that never moves sees the same sample path as in a
-    single-cell run.
+    new scheduler's bounds, with truncation accounted), detached queues
+    are re-attached whole with [give], drained packets are re-enqueued
+    one by one under their new local id, and a new session resumes at the
+    barrier slot.  A barrier therefore costs O(members of the touched
+    cells + the leavers' backlog), not O(backlog of the touched cells) —
+    except under IWFQ, whose per-packet slot tags make its [take]/[give]
+    O(backlog) for stayers too.  Output is byte-identical to draining and
+    re-enqueueing every member.  Sources and channels live in the
+    {!member} and are queried with absolute slot numbers, so a flow that
+    never moves sees the same sample path as in a single-cell run.
 
     All per-cell telemetry lives in an {!Wfs_obs.Instruments} registry
     created by {!create} with a fixed registration order, so the
@@ -30,10 +38,20 @@ type member = {
           the flow; only the [Params.flow.id] is rewritten per cell *)
 }
 
+(** A member's queued packets, FIFO order. *)
+type backlog =
+  | Drained of Wfs_traffic.Packet.t list
+      (** drained packet by packet (a leaving flow); each is re-enqueued
+          with its [flow] field rewritten to the new local id *)
+  | Detached of Wfs_traffic.Packet.t Queue.t
+      (** the flow's whole queue (a flow staying in its cell), handed to
+          the new scheduler with [give]; the packets' [flow] fields keep
+          their old local id, which nothing reads after [enqueue] *)
+
 type parcel = {
   member : member;
   carry : Sched.carry;  (** §5 lag + §7 credit, as exported *)
-  backlog : Wfs_traffic.Packet.t list;  (** queued packets, FIFO order *)
+  backlog : backlog;
   moved : bool;
       (** true when this parcel is crossing cells (set by the topology
           driver); reimports of stay-at-home flows keep it false so the
@@ -98,10 +116,16 @@ val advance : t -> until:int -> unit
     empty cell) and count the epoch.  Safe to call from a pool worker:
     touches only this cell's state. *)
 
-val dissolve : t -> parcel list
+val backlog_length : parcel -> int
+(** Number of queued packets the parcel carries. *)
+
+val dissolve : ?leaving:(int -> bool) -> t -> parcel list
 (** Bank the live session's metrics into the global accumulator and
-    serialize every member out, ascending global id.  The cell is left
-    empty; follow with {!rebuild}. *)
+    serialize every member out, ascending global id.  Members whose global
+    id satisfies [leaving] (default: all) are drained packet by packet
+    into a {!Drained} backlog; the others keep their queue whole as a
+    {!Detached} backlog.  The cell is left empty; follow with
+    {!rebuild}. *)
 
 val rebuild : t -> slot:int -> parcel list -> t
 (** Re-admit a parcel list (any order; sorted internally by global id) and

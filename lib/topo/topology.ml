@@ -191,7 +191,8 @@ let crash_cell t ~slot c =
 
 (* One barrier: draw mobility for every flow in ascending global id (the
    stream discipline {!Mobility} documents), then dissolve the affected
-   cells, re-home the movers, and rebuild.  Strictly sequential — this is
+   cells (draining the movers, detaching the stayers' queues whole),
+   re-home the movers, and rebuild.  Strictly sequential — this is
    what keeps multi-cell runs byte-identical across [--jobs].
 
    With a chaos engine, the same pass also applies transit verdicts to
@@ -273,13 +274,17 @@ let apply_handoffs t ~slot =
           affected.(dst) <- true)
         moves;
       List.iter (fun (_, _, dst) -> affected.(dst) <- true) rehomes;
+      (* Movers are drained packet by packet; every other member of an
+         affected cell stays put and hands its queue over whole. *)
+      let leaving = Array.make t.n_flows false in
+      List.iter (fun (gid, _, _) -> leaving.(gid) <- true) moves;
       let parcel_of = Array.make t.n_flows None in
       Array.iteri
         (fun c cell ->
           if affected.(c) then
             List.iter
               (fun p -> parcel_of.(p.Cell.member.Cell.gid) <- Some p)
-              (Cell.dissolve cell))
+              (Cell.dissolve ~leaving:(Array.get leaving) cell))
         t.cells;
       List.iter
         (fun (gid, src, dst) ->
@@ -307,8 +312,12 @@ let apply_handoffs t ~slot =
                         Chaos.note_lost_carry chaos
                           ~lag:p.Cell.carry.Sched.lag
                           ~credit:p.Cell.carry.Sched.credit
-                          ~packets:(List.length p.Cell.backlog);
-                        { p with Cell.carry = Sched.carry_zero; backlog = [] }
+                          ~packets:(Cell.backlog_length p);
+                        {
+                          p with
+                          Cell.carry = Sched.carry_zero;
+                          backlog = Cell.Drained [];
+                        }
                     | Chaos.Corrupt ->
                         let sent = Chaos.carry_digest p.Cell.carry in
                         let received = Chaos.mangle_carry p.Cell.carry in

@@ -5,7 +5,11 @@
     substrate (lib/wireline), where WFQ-family tags divide by it. *)
 
 type t = {
-  flow : int;  (** owning flow id *)
+  flow : int;
+      (** owning flow id — the routing key a scheduler's [enqueue] reads
+          to pick the queue.  Nothing reads it after [enqueue], so a packet
+          handed over whole at a topology barrier
+          ([Wfs_core.Wireless_sched.queues]) may keep a stale local id. *)
   seq : int;  (** per-flow sequence number, from 0 *)
   arrival : int;  (** arrival slot *)
   size : int;  (** bits; 1 in the slotted wireless model *)

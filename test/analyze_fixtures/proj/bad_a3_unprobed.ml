@@ -29,6 +29,9 @@ let instance t =
     probe = Sched.no_probe;
     handoff = None;
     quiescent = None;
+    queues =
+      Sched.fifo_queues ~queue:(fun _ -> t.q) ~on_backlogged:ignore
+        ~on_emptied:ignore;
   }
 
 let register () =

@@ -35,6 +35,9 @@ let instance t =
       };
     handoff = None;
     quiescent = None;
+    queues =
+      Sched.fifo_queues ~queue:(fun _ -> t.q) ~on_backlogged:ignore
+        ~on_emptied:ignore;
   }
 
 let register () =

@@ -250,6 +250,10 @@ let fake_sched ?(queue_length = fun _ -> 0) probe =
     probe;
     handoff = None;
     quiescent = None;
+    queues =
+      Core.Wireless_sched.fifo_queues
+        ~queue:(fun _ -> Queue.create ())
+        ~on_backlogged:ignore ~on_emptied:ignore;
   }
 
 let contains ~sub s =

@@ -231,7 +231,14 @@ let test_spec_of_scenario_file () =
       check_int "seed lifted from file" 9 sp.Spec.seed;
       check_int "horizon lifted from file" 12_345 sp.Spec.horizon;
       check_str "default sched" "WPS" sp.Spec.sched;
-      roundtrip sp)
+      roundtrip sp;
+      let over = Spec.of_scenario_file ~seed:3 ~horizon:500 path in
+      check_int "seed override wins over the directive" 3 over.Spec.seed;
+      check_int "horizon override wins over the directive" 500
+        over.Spec.horizon;
+      let seed_only = Spec.of_scenario_file ~seed:3 path in
+      check_int "horizon directive kept without an override" 12_345
+        seed_only.Spec.horizon)
 
 (* --- Json --- *)
 

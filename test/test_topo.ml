@@ -299,6 +299,302 @@ let test_cifq_lag_carry () =
     (h.Sched.export ~flow:0).Sched.lag;
   Alcotest.(check int) "cifq carries no credit" 0 acc.Sched.credit
 
+(* --- Whole-queue handover: take/give against drain/re-enqueue --- *)
+
+module Packet = Wfs_traffic.Packet
+module Rng = Wfs_util.Rng
+
+let handover_scheds = [ "SwapA-P"; "NoSwap-P"; "CIF-Q-P"; "CSDPS-P"; "IWFQ-P" ]
+
+(* The per-packet path a barrier takes for a leaving flow. *)
+let drain (i : Sched.instance) ~flow =
+  let rec go acc =
+    match i.head flow with
+    | Some pkt ->
+        i.drop_head ~flow;
+        go (pkt :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+let pkt_fields (p : Packet.t) = ((p.flow, p.seq), (p.arrival, p.attempts))
+
+(* One lockstep slot over instance pairs: identical arrivals (a fresh
+   record per instance, packets being mutable), predictions and outcomes;
+   selections must agree.  [load f] is flow [f]'s arrival probability. *)
+let step_pair rng ~load ~n ~slot seqs
+    ((a : Sched.instance), (b : Sched.instance)) =
+  for f = 0 to n - 1 do
+    if Rng.float rng < load f then begin
+      let mk () = Packet.make ~flow:f ~seq:seqs.(f) ~arrival:slot () in
+      a.enqueue ~slot (mk ());
+      b.enqueue ~slot (mk ());
+      seqs.(f) <- seqs.(f) + 1
+    end
+  done;
+  let good = Array.init n (fun _ -> Rng.float rng < 0.7) in
+  let delivered = Rng.float rng < 0.75 in
+  let predicted_good f = good.(f) in
+  let sa = a.select ~slot ~predicted_good in
+  let sb = b.select ~slot ~predicted_good in
+  Alcotest.(check (option int))
+    (Printf.sprintf "%s slot %d selection" a.name slot)
+    sa sb;
+  (match sa with
+  | Some f ->
+      List.iter
+        (fun (i : Sched.instance) ->
+          if delivered then i.complete ~flow:f
+          else begin
+            i.fail ~flow:f;
+            match i.head f with
+            | Some p ->
+                p.Packet.attempts <- p.Packet.attempts + 1;
+                if p.Packet.attempts > 2 then i.drop_head ~flow:f
+            | None -> ()
+          end)
+        [ a; b ]
+  | None -> ());
+  a.on_slot_end ~slot;
+  b.on_slot_end ~slot
+
+let test_take_give_matches_reenqueue name () =
+  let n = 4 and warm = 300 and after = 400 in
+  let entry = Registry.get name in
+  let flows =
+    Array.init n (fun id ->
+        Wfs_core.Params.flow ~id ~weight:(float_of_int (1 + (id mod 2))) ())
+  in
+  let rng = Rng.create 17 in
+  let seqs = Array.make n 0 in
+  (* Two identical sources, overloaded (2 pkt/slot offered) so every flow
+     carries a deep backlog into the barrier. *)
+  let drained_src = entry.Registry.make flows
+  and taken_src = entry.Registry.make flows in
+  for slot = 0 to warm - 1 do
+    step_pair rng ~load:(Fun.const 0.5) ~n ~slot seqs (drained_src, taken_src)
+  done;
+  let barrier = warm in
+  let drained = Array.init n (fun flow -> drain drained_src ~flow) in
+  let taken = Array.init n (fun flow -> taken_src.queues.Sched.take ~flow) in
+  for f = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "%s flow %d backlogged at the barrier" name f)
+      true
+      (List.length drained.(f) > 10);
+    Alcotest.(check (list (pair (pair int int) (pair int int))))
+      (Printf.sprintf "%s flow %d: take returns the drained FIFO" name f)
+      (List.map pkt_fields drained.(f))
+      (List.of_seq (Seq.map pkt_fields (Queue.to_seq taken.(f))));
+    Alcotest.(check int) "take empties the flow" 0 (taken_src.queue_length f)
+  done;
+  (* The emptied sources stay in lockstep: take left the same state. *)
+  for slot = barrier to barrier + 50 do
+    step_pair rng ~load:(Fun.const 0.3) ~n ~slot seqs (drained_src, taken_src)
+  done;
+  (* Hand over into a second pair with local ids reversed, so every given
+     packet's [flow] field is stale; the oracle rewrites it.  The pair runs
+     a light warm-up first, then has its even flows emptied and its odd
+     flows topped up, so the handover meets advanced virtual times and both
+     empty and non-empty queues. *)
+  let lid f = n - 1 - f in
+  let oracle = entry.Registry.make flows and given = entry.Registry.make flows in
+  let dst_seqs = Array.make n 100_000 in
+  for slot = 0 to barrier - 1 do
+    step_pair rng ~load:(Fun.const 0.2) ~n ~slot dst_seqs (oracle, given)
+  done;
+  for f = 0 to n - 1 do
+    List.iter
+      (fun (i : Sched.instance) ->
+        if f mod 2 = 0 then ignore (drain i ~flow:f)
+        else
+          i.enqueue ~slot:barrier
+            (Packet.make ~flow:f ~seq:dst_seqs.(f) ~arrival:barrier ()))
+      [ oracle; given ]
+  done;
+  for f = n - 1 downto 0 do
+    List.iter
+      (fun p -> oracle.enqueue ~slot:barrier { p with Packet.flow = lid f })
+      drained.(f);
+    given.queues.Sched.give ~flow:(lid f) ~slot:barrier taken.(f);
+    Alcotest.(check int) "give empties its argument" 0 (Queue.length taken.(f))
+  done;
+  for f = 0 to n - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "%s flow %d queue length after handover" name f)
+      (oracle.queue_length f) (given.queue_length f)
+  done;
+  for slot = barrier to barrier + after do
+    step_pair rng ~load:(Fun.const 0.2) ~n ~slot seqs (oracle, given)
+  done;
+  for f = 0 to n - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "%s flow %d final queue length" name f)
+      (oracle.queue_length f) (given.queue_length f)
+  done
+
+(* A per-packet stand-in for [queues]: drain through head/drop_head,
+   re-enqueue with the routing field rewritten — the protocol every
+   barrier used before whole-queue handover. *)
+let per_packet_queues (i : Sched.instance) =
+  {
+    i with
+    queues =
+      {
+        Sched.take =
+          (fun ~flow ->
+            let q = Queue.create () in
+            List.iter (fun p -> Queue.push p q) (drain i ~flow);
+            q);
+        give =
+          (fun ~flow ~slot q ->
+            Queue.iter
+              (fun p -> i.enqueue ~slot { p with Packet.flow = flow })
+              q;
+            Queue.clear q);
+      };
+  }
+
+(* A mobile topology driven straight from [Cell], so a scheduler entry
+   can be wrapped without registering it.  Mirrors the barrier protocol of
+   {!Topology}: movers are drained, stayers handed over whole. *)
+let run_cells (entry : Registry.entry) ~path ~cells ~mobility ~epoch ~horizon =
+  let rosters =
+    Array.init cells (fun c ->
+        (Wfs_core.Scenario.load ~seed:(100 + c) ~horizon path)
+          .Wfs_core.Scenario.setups)
+  in
+  let n_total = Array.fold_left (fun k r -> k + Array.length r) 0 rosters in
+  let homes = Array.make n_total 0 in
+  let next = ref 0 in
+  let cell =
+    Array.mapi
+      (fun c roster ->
+        let members =
+          Array.to_list
+            (Array.map
+               (fun setup ->
+                 let gid = !next in
+                 incr next;
+                 homes.(gid) <- c;
+                 { Cell.gid; setup })
+               roster)
+        in
+        Cell.create ~id:c ~sched:entry ~horizon ~n_total members)
+      rosters
+  in
+  let mob = Wfs_topo.Mobility.create ~seed:7 ~cells ~rate:mobility in
+  let moves = ref 0 and stayed = ref 0 in
+  let rec loop from =
+    if from < horizon then begin
+      let until = Int.min (from + epoch) horizon in
+      Array.iter (fun c -> Cell.advance c ~until) cell;
+      if until < horizon then begin
+        let drawn = ref [] in
+        Array.iteri
+          (fun gid home ->
+            match Wfs_topo.Mobility.draw mob ~home with
+            | Some dst -> drawn := (gid, home, dst) :: !drawn
+            | None -> ())
+          homes;
+        let leaving = Array.make n_total false in
+        let affected = Array.make cells false in
+        List.iter
+          (fun (gid, src, dst) ->
+            leaving.(gid) <- true;
+            affected.(src) <- true;
+            affected.(dst) <- true)
+          !drawn;
+        let parcel_of = Array.make n_total None in
+        Array.iteri
+          (fun c cl ->
+            if affected.(c) then
+              List.iter
+                (fun p ->
+                  (match p.Cell.backlog with
+                  | Cell.Detached q when not (Queue.is_empty q) -> incr stayed
+                  | Cell.Detached _ | Cell.Drained _ -> ());
+                  parcel_of.(p.Cell.member.Cell.gid) <- Some p)
+                (Cell.dissolve ~leaving:(Array.get leaving) cl))
+          cell;
+        List.iter
+          (fun (gid, _, dst) ->
+            incr moves;
+            homes.(gid) <- dst;
+            parcel_of.(gid) <-
+              Option.map (fun p -> { p with Cell.moved = true }) parcel_of.(gid))
+          !drawn;
+        Array.iteri
+          (fun c cl ->
+            if affected.(c) then begin
+              let parcels = ref [] in
+              Array.iteri
+                (fun gid h ->
+                  if h = c then
+                    Option.iter
+                      (fun p -> parcels := p :: !parcels)
+                      parcel_of.(gid))
+                homes;
+              ignore (Cell.rebuild cl ~slot:until !parcels)
+            end)
+          cell
+      end;
+      loop until
+    end
+  in
+  loop 0;
+  let merged = M.create ~n_flows:n_total () in
+  Array.iter (fun c -> M.absorb merged ~src:(Cell.finish c) ~map:Fun.id) cell;
+  let ins =
+    Wfs_obs.Instruments.merge_all
+      (Array.to_list (Array.map Cell.instruments cell))
+  in
+  ( Json.to_string (M.to_json merged),
+    Array.copy homes,
+    Json.to_string (Wfs_obs.Instruments.to_json ins),
+    !moves,
+    !stayed )
+
+let test_deep_backlog_handover () =
+  (* The test stanza depends on the file; [dune exec] runs from the root. *)
+  let path =
+    match
+      List.find_opt Sys.file_exists
+        [ "../bench/topo_cell.scenario"; "bench/topo_cell.scenario" ]
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "bench/topo_cell.scenario not found"
+  in
+  List.iter
+    (fun name ->
+      let entry = Registry.get name in
+      let oracle =
+        {
+          entry with
+          Registry.make =
+            (fun ?credit_limit ?debit_limit ?limits flows ->
+              per_packet_queues
+                (entry.make ?credit_limit ?debit_limit ?limits flows));
+        }
+      in
+      let run e =
+        run_cells e ~path ~cells:8 ~mobility:0.05 ~epoch:50 ~horizon:4_000
+      in
+      let m, h, i, moves, stayed = run entry in
+      let m', h', i', moves', stayed' = run oracle in
+      Alcotest.(check bool)
+        (name ^ ": flows moved")
+        true
+        (moves > 0 && moves = moves');
+      Alcotest.(check bool)
+        (name ^ ": stayers carried backlog across barriers")
+        true
+        (stayed > 0 && stayed = stayed');
+      Alcotest.(check string) (name ^ ": metrics") m' m;
+      Alcotest.(check (array int)) (name ^ ": homes") h' h;
+      Alcotest.(check string) (name ^ ": instruments") i' i)
+    handover_scheds
+
 (* --- Sharding: jobs-invariance of a mobile multi-cell run --- *)
 
 let test_jobs_invariance () =
@@ -652,6 +948,17 @@ let suite =
       test_wps_import_clamps;
     Alcotest.test_case "cifq lag carry rounds and re-exports" `Quick
       test_cifq_lag_carry;
+  ]
+  @ List.map
+      (fun name ->
+        Alcotest.test_case
+          (Printf.sprintf "%s take/give matches drain and re-enqueue" name)
+          `Quick
+          (test_take_give_matches_reenqueue name))
+      handover_scheds
+  @ [
+    Alcotest.test_case "deep-backlog topology: whole-queue handover identity"
+      `Quick test_deep_backlog_handover;
     Alcotest.test_case "mobile multi-cell run is jobs-invariant" `Quick
       test_jobs_invariance;
     Alcotest.test_case "faulted run degrades without collapsing" `Quick
