@@ -40,14 +40,24 @@ bench:
 perf:
 	dune exec bench/main.exe -- --macro-only --seed 42
 
-# Regenerate the golden CSVs in a scratch dir and require byte-identity
-# with the committed ones (the perf work must never change output).
+# Regenerate the golden CSVs and trace artifacts in a scratch dir and
+# require byte-identity with the committed ones (the perf work must never
+# change output).  The IWFQ-P trace pins the float writer (virtual time,
+# %.12g and %.17g tags, "inf"), the CIF-Q-P trace the lag field.
 golden-check:
 	@tmp=$$(mktemp -d); \
 	for e in 1 2 3 4 5 6; do \
 	  dune exec bin/wfs_sim.exe -- -e $$e -a all -n 20000 -s 42 --csv \
 	    > "$$tmp/example$$e.csv" || exit 1; \
 	  cmp "$$tmp/example$$e.csv" "test/golden/example$$e.csv" || exit 1; \
+	done; \
+	dune exec bin/wfs_sim.exe -- -e 3 -a IWFQ-P -n 3000 -s 42 --trace-stride 30 \
+	  --trace-out "$$tmp/trace-iwfq-e3.jsonl" --trace-csv "$$tmp/trace-iwfq-e3.csv" \
+	  > /dev/null || exit 1; \
+	dune exec bin/wfs_sim.exe -- -e 1 -a CIF-Q-P -n 3000 -s 42 --trace-stride 30 \
+	  --trace-out "$$tmp/trace-cifq-e1.jsonl" > /dev/null || exit 1; \
+	for f in trace-iwfq-e3.jsonl trace-iwfq-e3.csv trace-cifq-e1.jsonl; do \
+	  cmp "$$tmp/$$f" "test/golden/$$f" || exit 1; \
 	done; \
 	rm -rf "$$tmp"; \
 	cd test/golden && sha256sum -c SHA256SUMS

@@ -50,40 +50,29 @@ let csv ~path (hdr : Trace.header) =
     closed = false;
   }
 
-(* One reused buffer per sink: the per-sample cost is formatting plus one
-   [output_string]; nothing accumulates in memory (bounded streaming). *)
-
-let put_csv_cell buf s = Buffer.add_string buf s
+(* One reused buffer per sink: the per-sample cost is formatting straight
+   into it plus one [output_string]; nothing accumulates in memory (bounded
+   streaming).  Both formats share the JSON codec's number writer. *)
 
 let write_csv t (s : Trace.sample) =
   let buf = t.buf in
-  Buffer.add_string buf (string_of_int s.Trace.slot);
+  Json.add_int buf s.Trace.slot;
   Buffer.add_char buf ',';
-  (match s.Trace.selected with
-  | None -> ()
-  | Some f -> put_csv_cell buf (string_of_int f));
+  Option.iter (Json.add_int buf) s.Trace.selected;
   Buffer.add_char buf ',';
-  (match s.Trace.virtual_time with
-  | None -> ()
-  | Some v -> put_csv_cell buf (Json.float_to_string v));
+  Option.iter (Json.add_float buf) s.Trace.virtual_time;
   Buffer.add_char buf ',';
-  (match s.Trace.lag_sum with
-  | None -> ()
-  | Some l -> put_csv_cell buf (string_of_int l));
+  Option.iter (Json.add_int buf) s.Trace.lag_sum;
   Array.iter
     (fun (f : Trace.flow_sample) ->
       Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int f.Trace.queue);
+      Json.add_int buf f.Trace.queue;
       Buffer.add_char buf ',';
       Buffer.add_char buf (if f.Trace.good then '1' else '0');
       Buffer.add_char buf ',';
-      (match f.Trace.tag with
-      | None -> ()
-      | Some v -> put_csv_cell buf (Json.float_to_string v));
+      Option.iter (Json.add_float buf) f.Trace.tag;
       Buffer.add_char buf ',';
-      match f.Trace.credit with
-      | None -> ()
-      | Some c -> put_csv_cell buf (string_of_int c))
+      Option.iter (Json.add_int buf) f.Trace.credit)
     s.Trace.flows;
   Buffer.add_char buf '\n'
 
@@ -94,7 +83,7 @@ let write t (s : Trace.sample) =
   Buffer.clear t.buf;
   (match t.format with
   | Jsonl ->
-      Buffer.add_string t.buf (Trace.sample_to_string s);
+      Json.to_buffer ~pretty:false t.buf (Trace.sample_to_json s);
       Buffer.add_char t.buf '\n'
   | Csv -> write_csv t s);
   Buffer.output_buffer t.oc t.buf;

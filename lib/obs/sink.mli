@@ -6,7 +6,16 @@
     [q{i},good{i},tag{i},credit{i}] per flow) and one comma row per
     sample, with optional quantities left as empty cells.  Memory use is
     O(1): each sample is formatted into a reused buffer and written out
-    immediately, so traces of any horizon stream to disk. *)
+    immediately, so traces of any horizon stream to disk.
+
+    Both formats write numbers through {!Wfs_util.Json.add_int} and
+    {!Wfs_util.Json.add_float}; a JSONL line goes through
+    {!Wfs_util.Json.to_buffer} straight into the sink's buffer, with no
+    intermediate string.  Measured cost of an enabled per-slot probe
+    into a JSONL sink (wfsbench [cell-observed --trace 1], 16 flows,
+    4 000 samples, 2-core host, OCaml 5.1.1, dev profile): about 5 us
+    per sample, sample construction included, and about 3 750 minor
+    words per simulated slot for the whole traced run. *)
 
 type t
 

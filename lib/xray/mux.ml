@@ -111,7 +111,7 @@ let create ?(stride = 1) ?(params = []) ~cells ~part_base () =
 let write_entry t e =
   let p = t.parts.(entry_cell e) in
   Buffer.clear p.buf;
-  Buffer.add_string p.buf (entry_to_string e);
+  Json.to_buffer ~pretty:false p.buf (entry_to_json e);
   Buffer.add_char p.buf '\n';
   Buffer.output_buffer p.oc p.buf
 
@@ -226,24 +226,20 @@ let csv_row buf ~n_flows ~rosters (cell : int) (s : Trace.sample) =
   if Array.length roster <> Array.length s.Trace.flows then
     Error.invalidf who "sample width disagrees with cell %d roster" cell;
   Buffer.clear buf;
-  Buffer.add_string buf (string_of_int s.Trace.slot);
+  Json.add_int buf s.Trace.slot;
   Buffer.add_char buf ',';
-  Buffer.add_string buf (string_of_int cell);
+  Json.add_int buf cell;
   Buffer.add_char buf ',';
   (match s.Trace.selected with
   | None -> ()
   | Some local ->
       if local < 0 || local >= Array.length roster then
         Error.invalidf who "selected flow outside cell %d roster" cell;
-      Buffer.add_string buf (string_of_int roster.(local)));
+      Json.add_int buf roster.(local));
   Buffer.add_char buf ',';
-  (match s.Trace.virtual_time with
-  | None -> ()
-  | Some v -> Buffer.add_string buf (Json.float_to_string v));
+  Option.iter (Json.add_float buf) s.Trace.virtual_time;
   Buffer.add_char buf ',';
-  (match s.Trace.lag_sum with
-  | None -> ()
-  | Some l -> Buffer.add_string buf (string_of_int l));
+  Option.iter (Json.add_int buf) s.Trace.lag_sum;
   let by_gid = Array.make n_flows None in
   Array.iteri
     (fun local f ->
@@ -258,17 +254,13 @@ let csv_row buf ~n_flows ~rosters (cell : int) (s : Trace.sample) =
       | None -> Buffer.add_string buf ",,,,"
       | Some (f : Trace.flow_sample) ->
           Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int f.Trace.queue);
+          Json.add_int buf f.Trace.queue;
           Buffer.add_char buf ',';
           Buffer.add_char buf (if f.Trace.good then '1' else '0');
           Buffer.add_char buf ',';
-          (match f.Trace.tag with
-          | None -> ()
-          | Some v -> Buffer.add_string buf (Json.float_to_string v));
+          Option.iter (Json.add_float buf) f.Trace.tag;
           Buffer.add_char buf ',';
-          (match f.Trace.credit with
-          | None -> ()
-          | Some c -> Buffer.add_string buf (string_of_int c)))
+          Option.iter (Json.add_int buf) f.Trace.credit)
     by_gid;
   Buffer.add_char buf '\n'
 

@@ -267,7 +267,21 @@ let test_json_roundtrip () =
       match Json.of_string bad with
       | Ok _ -> Alcotest.failf "accepted malformed JSON %S" bad
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "{\"a\":1} x" ]
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\":}";
+      "tru";
+      "\"unterminated";
+      "{\"a\":1} x";
+      (* [int_of_string] reads '_' as a digit separator; a \u escape takes
+         exactly four hex digits. *)
+      {|"\u1_2_"|};
+      (* Overflows to inf, which the writer could not print back as JSON. *)
+      "1e999";
+      "[-1e999]";
+    ]
 
 let test_json_float_fidelity () =
   List.iter
@@ -276,6 +290,221 @@ let test_json_float_fidelity () =
       check_bool (Printf.sprintf "%s restores bits" s) true
         (Float.equal (float_of_string s) f))
     [ 0.1; 0.2; 0.3; 1. /. 3.; 1e-300; 123456789.123456789; 2.5e-8 ]
+
+(* --- Json writer against the Printf-based reference ---
+
+   A copy of the writer as it was before it learned to write numbers and
+   strings straight into its buffer.  The codec must reproduce its bytes
+   exactly: every committed artifact was written by it. *)
+
+module Ref_json = struct
+  let float_to_string x =
+    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+    else begin
+      let short = Printf.sprintf "%.12g" x in
+      if float_of_string short = x then short else Printf.sprintf "%.17g" x
+    end
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let to_string ~pretty v =
+    let buf = Buffer.create 1024 in
+    let indent depth =
+      if pretty then begin
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (String.make (2 * depth) ' ')
+      end
+    in
+    let rec go depth v =
+      match v with
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Json.Int i -> Buffer.add_string buf (string_of_int i)
+      | Json.Float x -> Buffer.add_string buf (float_to_string x)
+      | Json.Str s -> escape_string buf s
+      | Json.Arr [] -> Buffer.add_string buf "[]"
+      | Json.Arr items ->
+          Buffer.add_char buf '[';
+          List.iteri
+            (fun i item ->
+              if i > 0 then Buffer.add_char buf ',';
+              indent (depth + 1);
+              go (depth + 1) item)
+            items;
+          indent depth;
+          Buffer.add_char buf ']'
+      | Json.Obj [] -> Buffer.add_string buf "{}"
+      | Json.Obj fields ->
+          Buffer.add_char buf '{';
+          List.iteri
+            (fun i (k, item) ->
+              if i > 0 then Buffer.add_char buf ',';
+              indent (depth + 1);
+              escape_string buf k;
+              Buffer.add_string buf (if pretty then ": " else ":");
+              go (depth + 1) item)
+            fields;
+          indent depth;
+          Buffer.add_char buf '}'
+    in
+    go 0 v;
+    Buffer.contents buf
+end
+
+let edge_floats =
+  [
+    0.;
+    -0.;
+    1e15 -. 1.;
+    -.(1e15 -. 1.);
+    1e15;
+    -1e15;
+    Float.ldexp 1. 53;
+    -.Float.ldexp 1. 53;
+    Float.min_float;
+    Float.min_float /. 3.;
+    5e-324;
+    -5e-324;
+    Float.max_float;
+    -.Float.max_float;
+    0.1;
+    -0.1;
+    1. /. 3.;
+    817.25000000000318;
+    123456789.123456789;
+  ]
+
+let gen_json ~finite =
+  let open QCheck.Gen in
+  let gen_float =
+    let any =
+      if finite then map (fun x -> if Float.is_finite x then x else 0.5) float
+      else float
+    in
+    frequency
+      [
+        (3, oneofl edge_floats);
+        (3, any);
+        (2, map (fun (a, b) -> float_of_int a /. float_of_int b) (pair int (1 -- 64)));
+        (1, map float_of_int int);
+      ]
+  in
+  let gen_int =
+    frequency
+      [ (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]); (3, -9 -- 10); (3, int) ]
+  in
+  let gen_string =
+    let byte =
+      frequency
+        [
+          (6, char_range 'a' 'z');
+          (1, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t' ]);
+          (1, map Char.chr (0 -- 0x1f));
+          (1, map Char.chr (0x80 -- 0xff));
+        ]
+    in
+    string_size ~gen:byte (0 -- 10)
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (3, map (fun i -> Json.Int i) gen_int);
+        (4, map (fun x -> Json.Float x) gen_float);
+        (2, map (fun s -> Json.Str s) gen_string);
+      ]
+  in
+  let tree =
+    fix (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun l -> Json.Obj l)
+                  (list_size (0 -- 4) (pair gen_string (self (depth - 1)))) );
+            ])
+  in
+  QCheck.make
+    ~print:(fun v -> Ref_json.to_string ~pretty:false v)
+    (0 -- 4 >>= tree)
+
+let prop_json_writer_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"json writer matches the Printf reference"
+    (gen_json ~finite:false)
+    (fun v ->
+      String.equal (Json.to_string ~pretty:false v) (Ref_json.to_string ~pretty:false v)
+      && String.equal (Json.to_string ~pretty:true v) (Ref_json.to_string ~pretty:true v))
+
+(* Structural equality with floats compared by [Float.equal] and sign, so
+   a lost [-0.0] sign shows.  An integral float of magnitude >= 1e15 that
+   [%.12g] cannot restore is written as bare [%.17g] digits, which read
+   back as an [Int]; {!Json.to_float} treats the two alike, and so does
+   this. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Null, Json.Null -> true
+  | Json.Bool x, Json.Bool y -> Bool.equal x y
+  | Json.Int x, Json.Int y -> Int.equal x y
+  | Json.Float x, Json.Float y ->
+      Float.equal x y && Bool.equal (Float.sign_bit x) (Float.sign_bit y)
+  | Json.Float x, Json.Int i ->
+      Float.abs x >= 1e15 && Float.equal x (float_of_int i)
+  | Json.Str x, Json.Str y -> String.equal x y
+  | Json.Arr xs, Json.Arr ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.equal (fun (k, x) (k', y) -> String.equal k k' && json_equal x y) xs ys
+  | _ -> false
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"json of_string inverts to_string"
+    (gen_json ~finite:true)
+    (fun v ->
+      List.for_all
+        (fun pretty ->
+          match Json.of_string (Json.to_string ~pretty v) with
+          | Ok v' -> json_equal v v'
+          | Error _ -> false)
+        [ false; true ])
+
+let test_json_long_integers () =
+  (* Past 18 digits an integer leaves the inline accumulator for
+     [int_of_string_opt]: it still parses while it fits an int and is
+     rejected once it does not. *)
+  let parses text v =
+    match Json.of_string text with
+    | Ok v' -> check_bool (text ^ " parses") true (json_equal v v')
+    | Error e -> Alcotest.failf "rejected %S: %s" text e
+  in
+  parses "1234567890123456789" (Json.Int 1234567890123456789);
+  parses "[-1234567890123456789]" (Json.Arr [ Json.Int (-1234567890123456789) ]);
+  parses (string_of_int min_int) (Json.Int min_int);
+  parses (string_of_int max_int) (Json.Int max_int);
+  parses "-999999999999999999" (Json.Int (-999999999999999999));
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | Ok _ -> Alcotest.failf "accepted overflowing integer %S" text
+      | Error _ -> ())
+    [ "9999999999999999999"; "-9999999999999999999"; "123456789012345678901234" ]
 
 (* --- Artifact --- *)
 
@@ -386,6 +615,9 @@ let suite =
     ("spec from scenario file", `Quick, test_spec_of_scenario_file);
     ("json round-trip", `Quick, test_json_roundtrip);
     ("json float fidelity", `Quick, test_json_float_fidelity);
+    ("json long integers", `Quick, test_json_long_integers);
+    QCheck_alcotest.to_alcotest prop_json_writer_matches_reference;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
     ("artifact round-trip", `Quick, test_artifact_roundtrip);
     ("artifact schema check", `Quick, test_artifact_rejects_bad_schema);
     ("registry lookup", `Quick, test_registry_lookup);
