@@ -43,8 +43,8 @@ let load_windows path =
   | Error e -> die path (Wfs_util.Error.to_string e)
 
 let load_timeline path =
-  match Report.of_timeline ~path with
-  | Ok s -> s
+  match Wfs_chaos.Chaos.load_timeline ~path with
+  | Ok stamped -> Report.of_timeline stamped
   | Error e -> die path (Wfs_util.Error.to_string e)
 
 let main title bench traces xray causality windows timelines html quiet =

@@ -1,6 +1,7 @@
 module Error = Wfs_util.Error
 module Rng = Wfs_util.Rng
 module Json = Wfs_util.Json
+module Jsonl = Wfs_util.Jsonl
 module Instruments = Wfs_obs.Instruments
 module Spec = Wfs_runner.Spec
 
@@ -265,31 +266,28 @@ let fault_to_string = function
       Printf.sprintf "worker-fault cell=%d %s" cell
         (if persistent then "persistent" else "transient")
 
-let fault_to_json = function
-  | Cell_crash { cell } ->
-      Json.Obj [ ("kind", Json.Str "crash"); ("cell", Json.Int cell) ]
-  | Cell_recover { cell } ->
-      Json.Obj [ ("kind", Json.Str "recover"); ("cell", Json.Int cell) ]
-  | Handoff_lost { flow; src; dst } ->
-      Json.Obj
-        [ ("kind", Json.Str "lost"); ("flow", Json.Int flow);
-          ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Handoff_corrupt { flow; src; dst } ->
-      Json.Obj
-        [ ("kind", Json.Str "corrupt"); ("flow", Json.Int flow);
-          ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Handoff_blocked { flow; src; dst } ->
-      Json.Obj
-        [ ("kind", Json.Str "blocked"); ("flow", Json.Int flow);
-          ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Blackout { cell; until } ->
-      Json.Obj
-        [ ("kind", Json.Str "blackout"); ("cell", Json.Int cell);
-          ("until", Json.Int until) ]
-  | Worker_fault { cell; persistent } ->
-      Json.Obj
-        [ ("kind", Json.Str "worker"); ("cell", Json.Int cell);
-          ("persistent", Json.Bool persistent) ]
+let fault_kind = function
+  | Cell_crash _ -> "crash"
+  | Cell_recover _ -> "recover"
+  | Handoff_lost _ -> "lost"
+  | Handoff_corrupt _ -> "corrupt"
+  | Handoff_blocked _ -> "blocked"
+  | Blackout _ -> "blackout"
+  | Worker_fault _ -> "worker"
+
+let fault_to_json f =
+  let fields =
+    match f with
+    | Cell_crash { cell } | Cell_recover { cell } -> [ ("cell", Json.Int cell) ]
+    | Handoff_lost { flow; src; dst }
+    | Handoff_corrupt { flow; src; dst }
+    | Handoff_blocked { flow; src; dst } ->
+        [ ("flow", Json.Int flow); ("src", Json.Int src); ("dst", Json.Int dst) ]
+    | Blackout { cell; until } -> [ ("cell", Json.Int cell); ("until", Json.Int until) ]
+    | Worker_fault { cell; persistent } ->
+        [ ("cell", Json.Int cell); ("persistent", Json.Bool persistent) ]
+  in
+  Json.Obj (("kind", Json.Str (fault_kind f)) :: fields)
 
 let fault_of_json j =
   let ( let* ) = Option.bind in
@@ -358,6 +356,30 @@ let fault_equal a b =
 
 let event_equal a b = Int.equal a.slot b.slot && fault_equal a.fault b.fault
 let timeline_to_json t = Json.Arr (List.map event_to_json (timeline t))
+
+(* --- the wfs-chaos/1-timeline artifact: one event per line, stamped
+   with the spec of the run it belongs to. --- *)
+
+let timeline_schema = "wfs-chaos/1-timeline"
+
+let stamped_to_json (spec, ev) =
+  Json.Obj [ ("spec", Json.Str spec); ("event", event_to_json ev) ]
+
+let stamped_of_json v =
+  let ( let* ) = Option.bind in
+  let* spec = Option.bind (Json.member "spec" v) Json.to_str in
+  let* ev = Option.bind (Json.member "event" v) event_of_json in
+  Some (spec, ev)
+
+let write_timeline ~path runs =
+  Jsonl.write ~path ~schema:timeline_schema [] stamped_to_json
+    (List.concat_map (fun (spec, evs) -> List.map (fun ev -> (spec, ev)) evs) runs)
+
+let load_timeline ~path =
+  Jsonl.load ~who:"Chaos.load_timeline" ~schema:timeline_schema ~path
+    ~header:(fun _ -> Some ())
+    ~line:(fun () v -> Jsonl.decoded (stamped_of_json v))
+  |> Result.map snd
 
 let timeline_context t =
   let rec take n = function

@@ -155,6 +155,11 @@ val timeline : t -> event list
 (** Chronological. *)
 
 val fault_to_string : fault -> string
+
+val fault_kind : fault -> string
+(** The [kind] tag of {!fault_to_json}: [crash], [recover], [lost],
+    [corrupt], [blocked], [blackout] or [worker]. *)
+
 val fault_to_json : fault -> Wfs_util.Json.t
 val fault_of_json : Wfs_util.Json.t -> fault option
 val event_to_json : event -> Wfs_util.Json.t
@@ -164,6 +169,23 @@ val event_equal : event -> event -> bool
 val timeline_to_json : t -> Wfs_util.Json.t
 (** [Arr] of {!event_to_json}, chronological; round-trips through
     {!event_of_json}. *)
+
+(** {1 Fault timeline artifact}
+
+    [wfs-chaos/1-timeline]: a {!Wfs_util.Jsonl} stream with a bare
+    header, then one [{"spec":S,"event":E}] line per fault, where [E] is
+    {!event_to_json} and [S] the spec string of the run it belongs to. *)
+
+val timeline_schema : string
+(** ["wfs-chaos/1-timeline"] *)
+
+val write_timeline : path:string -> (string * event list) list -> unit
+(** Write each run's events, in order, stamped with its spec string. *)
+
+val load_timeline :
+  path:string -> ((string * event) list, Wfs_util.Error.t) result
+(** {!Wfs_util.Jsonl.load} of a {!write_timeline} file: the
+    (spec, event) lines in file order. *)
 
 val timeline_context : t -> (string * string) list
 (** The most recent faults rendered for {!Wfs_util.Error.add_context},

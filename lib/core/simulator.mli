@@ -123,10 +123,8 @@ val config :
   horizon:int ->
   flow_setup array ->
   config
-(** Default predictor: [One_step].  {b Legacy surface}: new code should
-    build configurations through the typed {!Sim_config} builder, which
-    produces the same record — this optional-argument constructor is kept
-    so existing call sites (and golden CSVs) stay byte-identical.
+(** The one way to build a {!config}.  Default predictor: [One_step];
+    every hook absent and every flag off unless given.
     @raise Invalid_argument on a negative horizon, flow ids out of order,
     or an empty flow array. *)
 

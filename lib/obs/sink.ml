@@ -1,29 +1,21 @@
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 
-type format = Jsonl | Csv
+type format = Jsonl of Jsonl.writer | Csv of { oc : out_channel; buf : Buffer.t }
 
 type t = {
-  oc : out_channel;
   format : format;
   n_flows : int;
-  buf : Buffer.t;
   mutable written : int;
   mutable closed : bool;
 }
 
+let make format (hdr : Trace.header) =
+  { format; n_flows = hdr.Trace.n_flows; written = 0; closed = false }
+
 let jsonl ~path (hdr : Trace.header) =
-  let oc = open_out_bin path in
-  output_string oc (Trace.header_to_string hdr);
-  output_char oc '\n';
-  {
-    oc;
-    format = Jsonl;
-    n_flows = hdr.Trace.n_flows;
-    buf = Buffer.create 256;
-    written = 0;
-    closed = false;
-  }
+  make (Jsonl (Jsonl.create ~path ~schema:Trace.schema (Trace.header_fields hdr))) hdr
 
 let csv_columns n_flows =
   let base = [ "slot"; "selected"; "virtual_time"; "lag_sum" ] in
@@ -41,21 +33,13 @@ let csv ~path (hdr : Trace.header) =
   let oc = open_out_bin path in
   output_string oc (String.concat "," (csv_columns hdr.Trace.n_flows));
   output_char oc '\n';
-  {
-    oc;
-    format = Csv;
-    n_flows = hdr.Trace.n_flows;
-    buf = Buffer.create 256;
-    written = 0;
-    closed = false;
-  }
+  make (Csv { oc; buf = Buffer.create 256 }) hdr
 
 (* One reused buffer per sink: the per-sample cost is formatting straight
    into it plus one [output_string]; nothing accumulates in memory (bounded
    streaming).  Both formats share the JSON codec's number writer. *)
 
-let write_csv t (s : Trace.sample) =
-  let buf = t.buf in
+let write_csv buf (s : Trace.sample) =
   Json.add_int buf s.Trace.slot;
   Buffer.add_char buf ',';
   Option.iter (Json.add_int buf) s.Trace.selected;
@@ -80,13 +64,12 @@ let write t (s : Trace.sample) =
   if t.closed then Error.bad_config ~who:"Sink.write" "sink already closed";
   if Array.length s.Trace.flows <> t.n_flows then
     Error.bad_config ~who:"Sink.write" "sample width disagrees with header";
-  Buffer.clear t.buf;
   (match t.format with
-  | Jsonl ->
-      Json.to_buffer ~pretty:false t.buf (Trace.sample_to_json s);
-      Buffer.add_char t.buf '\n'
-  | Csv -> write_csv t s);
-  Buffer.output_buffer t.oc t.buf;
+  | Jsonl w -> Jsonl.append w (Trace.sample_to_json s)
+  | Csv { oc; buf } ->
+      Buffer.clear buf;
+      write_csv buf s;
+      Buffer.output_buffer oc buf);
   t.written <- t.written + 1
 
 let written t = t.written
@@ -94,6 +77,5 @@ let written t = t.written
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    flush t.oc;
-    close_out t.oc
+    match t.format with Jsonl w -> Jsonl.close w | Csv { oc; _ } -> close_out oc
   end

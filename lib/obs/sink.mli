@@ -9,8 +9,9 @@
     immediately, so traces of any horizon stream to disk.
 
     Both formats write numbers through {!Wfs_util.Json.add_int} and
-    {!Wfs_util.Json.add_float}; a JSONL line goes through
-    {!Wfs_util.Json.to_buffer} straight into the sink's buffer, with no
+    {!Wfs_util.Json.add_float}; the JSONL format is a
+    {!Wfs_util.Jsonl.writer}, which formats each line with
+    {!Wfs_util.Json.to_buffer} straight into its buffer, with no
     intermediate string.  Measured cost of an enabled per-slot probe
     into a JSONL sink (wfsbench [cell-observed --trace 1], 16 flows,
     4 000 samples, 2-core host, OCaml 5.1.1, dev profile): about 5 us

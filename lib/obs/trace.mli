@@ -7,9 +7,8 @@
     sum) are encoded by field {e presence} — a scheduler that exposes no
     virtual time produces no [vt] key, and absence must not be read as
     zero.  The format streams: writers ({!Sink}) append a line per sample
-    and never hold the series in memory, and {!load} tolerates a torn
-    final line (an interrupted append) exactly like
-    [Wfs_runner.Journal]. *)
+    and never hold the series in memory.  The framing (header line,
+    torn-tail rule) is {!Wfs_util.Jsonl}'s. *)
 
 val schema : string
 (** ["wfs-trace/1"] *)
@@ -42,6 +41,10 @@ val header :
     [stride < 1], or a param reuses a reserved name ([schema] / [n_flows]
     / [stride]). *)
 
+val header_fields : header -> (string * Wfs_util.Json.t) list
+(** The header line's fields after [schema]: [n_flows], [stride], then
+    the params. *)
+
 val header_to_json : header -> Wfs_util.Json.t
 val header_of_json : Wfs_util.Json.t -> header option
 val header_to_string : header -> string
@@ -64,7 +67,6 @@ val header_equal : header -> header -> bool
 type contents = { hdr : header; samples : sample list }
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
-(** Parse a trace file.  A torn {e final} line is silently dropped (the
-    write was interrupted mid-append); a bad line {e followed by} valid
-    lines is corruption and yields [Error] (kind [Bad_spec]), as does a
-    sample whose flow count disagrees with the header. *)
+(** Parse a trace file under {!Wfs_util.Jsonl.load}'s torn-tail rule.  A
+    sample whose flow count disagrees with the header contradicts it and
+    is refused wherever it sits. *)

@@ -1,3 +1,5 @@
+module Json = Wfs_util.Json
+
 type table = {
   title : string;
   columns : string list;

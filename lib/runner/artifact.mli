@@ -46,8 +46,8 @@ val v :
   t
 (** Fills in [schema] and derives [slots_per_sec]. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Wfs_util.Json.t
+val of_json : Wfs_util.Json.t -> (t, string) result
 val write : path:string -> t -> unit
 val read : string -> (t, string) result
 (** [Error] on unreadable file, bad JSON, missing fields, or an unknown

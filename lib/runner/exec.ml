@@ -20,11 +20,6 @@ let setups_of (spec : Spec.t) =
       let sc = Core.Scenario.load ~seed:spec.seed ~horizon:spec.horizon path in
       sc.Core.Scenario.setups
 
-(* Optional-to-builder adapter: apply the step only when the caller passed
-   the knob, so the built config is field-for-field what the legacy
-   optional-argument constructor produced. *)
-let maybe step opt t = match opt with None -> t | Some v -> step v t
-
 let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
     ?histograms ?invariants ?fast_path ?skip_stats (spec : Spec.t) =
   (match spec.topo with
@@ -41,17 +36,11 @@ let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
   (* The scheduler instance exists only here, so telemetry probes arrive as
      builders: the caller says how to probe, this function says what. *)
   let slot_probe = Option.map (fun build -> build sched) probe in
-  Core.Sim_config.v ~horizon:spec.horizon setups
-  |> Core.Sim_config.with_predictor entry.Core.Registry.predictor
-  |> maybe Core.Sim_config.with_observer observer
-  |> maybe Core.Sim_config.with_trace trace
-  |> maybe Core.Sim_config.with_probe slot_probe
-  |> maybe Core.Sim_config.with_profiler profiler
-  |> maybe (fun on t -> if on then Core.Sim_config.with_histograms t else t) histograms
-  |> maybe (fun on t -> if on then Core.Sim_config.with_invariants t else t) invariants
-  |> maybe Core.Sim_config.with_fast_path fast_path
-  |> maybe Core.Sim_config.with_skip_stats skip_stats
-  |> Core.Sim_config.run sched
+  Core.Simulator.run
+    (Core.Simulator.config ~predictor:entry.Core.Registry.predictor ?observer
+       ?trace ?slot_probe ?profiler ?histograms ?invariants ?fast_path
+       ?skip_stats ~horizon:spec.horizon setups)
+    sched
 
 (* The flight recorder is a capacity-bounded Tracelog: cheap enough to
    leave on for whole sweeps, and when a run dies its last [capacity]

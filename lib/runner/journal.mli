@@ -9,11 +9,10 @@
     killed sweep restarted with [--resume] skips exactly the jobs whose
     results survived.
 
-    Reading tolerates the one failure mode an interrupted append can
-    cause: a truncated (unparsable) final line is discarded and every
-    entry before it is kept.  Corruption {e before} the last line is a
-    typed [Bad_spec] error — that file was not produced by an interrupted
-    writer and silently dropping its tail could resurrect stale results.
+    The framing is {!Wfs_util.Jsonl}'s: a torn final line (the one failure
+    mode an interrupted append can cause) is dropped by {!load} and cut
+    off by {!reopen}; corruption {e before} the last line is a typed
+    [Bad_spec] error.
 
     Appends are mutex-serialized and flushed per line, so the writer can
     be shared by every worker domain of a {!Pool}. *)
@@ -21,9 +20,9 @@
 val schema : string
 (** ["wfs-bench/1-journal"] — the default schema.  Derived journal formats
     (e.g. {!Wfs_topo.Topo_journal}'s ["wfs-bench/1-topo-journal"] epoch
-    snapshots) reuse this module's framing, atomic-append and
-    corruption-handling machinery under their own schema string; a file is
-    only ever readable under the schema it was written with. *)
+    snapshots) reuse this module's entry codec and flushed appends under
+    their own schema string; a file is only ever readable under the
+    schema it was written with. *)
 
 type writer
 
@@ -38,7 +37,9 @@ val create :
     only valid for — horizon, seed, ...). *)
 
 val reopen : path:string -> writer
-(** Open an existing journal for appending (header already present). *)
+(** Open an existing journal for appending (header already present).  A
+    torn final line — one {!load} drops — is cut off first, so the next
+    entry starts on a line of its own. *)
 
 val append : writer -> key:string -> value:Wfs_util.Json.t -> unit
 (** Append one completed-job line and flush it. *)
@@ -54,7 +55,6 @@ type contents = {
 
 val load :
   ?schema:string -> path:string -> unit -> (contents, Wfs_util.Error.t) result
-(** Read a journal back, requiring its header schema to equal [schema]
-    (default {!schema}).  [Error] (kind [Bad_spec]) on a missing file, a
-    bad header, a schema mismatch, or corruption before the final line; a
-    truncated final line alone is silently dropped. *)
+(** Read a journal back under {!Wfs_util.Jsonl.load}, requiring its
+    header schema to equal [schema] (default {!schema}).  A line is an
+    entry when it has a string [key] and a [value]. *)

@@ -1,3 +1,5 @@
+module Json = Wfs_util.Json
+
 type scenario =
   | Example of { n : int; sum : float option }
   | File of string

@@ -3,7 +3,6 @@ module Sim = Wfs_core.Simulator
 module Params = Wfs_core.Params
 module Registry = Wfs_core.Registry
 module Metrics = Wfs_core.Metrics
-module Sim_config = Wfs_core.Sim_config
 module Instruments = Wfs_obs.Instruments
 module Packet = Wfs_traffic.Packet
 module Error = Wfs_util.Error
@@ -171,23 +170,17 @@ let install t ~slot parcels =
                 sched.Sched.enqueue ~slot { pkt with Packet.flow = lid })
               pkts)
       parcels;
+    let slot_probe =
+      Option.bind t.tap (fun tp ->
+          tp.probe ~cell:t.cell_id ~n_flows:(Array.length members) sched)
+    in
     let cfg =
-      Sim_config.v ~horizon:t.horizon setups
-      |> Sim_config.with_predictor t.entry.Registry.predictor
-      |> (if t.histograms then Sim_config.with_histograms else Fun.id)
-      |> (if t.invariants then Sim_config.with_invariants else Fun.id)
-      |> Sim_config.with_fast_path t.fast_path
-      |> (match t.tap with
-         | Some tp -> (
-             match
-               tp.probe ~cell:t.cell_id ~n_flows:(Array.length members) sched
-             with
-             | Some p -> Sim_config.with_probe p
-             | None -> Fun.id)
-         | None -> Fun.id)
+      Sim.config ~predictor:t.entry.Registry.predictor
+        ~histograms:t.histograms ~invariants:t.invariants
+        ~fast_path:t.fast_path ?slot_probe ~horizon:t.horizon setups
     in
     t.sched <- Some sched;
-    t.session <- Some (Sim_config.start ~first_slot:slot sched cfg)
+    t.session <- Some (Sim.Session.create ~first_slot:slot cfg sched)
   end
 
 let create ?credit_limit ?debit_limit ?(histograms = false)

@@ -1,7 +1,7 @@
 (** Epoch-granular checkpoint journal for multi-cell runs — the
     ["wfs-bench/1-topo-journal"] derived schema of {!Wfs_runner.Journal}
-    (same line framing, atomic flushed appends, torn-tail tolerance and
-    mid-file corruption refusal; only the header schema differs).
+    (same entry codec and flushed appends, and the {!Wfs_util.Jsonl}
+    framing with its torn-tail rule; only the header schema differs).
 
     A topology's full simulation state is closure-held (live scheduler
     instances, channel processes) and cannot be serialized, so resume is
@@ -35,6 +35,9 @@ type writer
 
 val create : path:string -> params:(string * Wfs_util.Json.t) list -> writer
 val reopen : path:string -> writer
+(** {!Wfs_runner.Journal.reopen}: a torn final line is cut off before the
+    first append. *)
+
 val close : writer -> unit
 
 val append_snapshot :

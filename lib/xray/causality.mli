@@ -9,9 +9,7 @@
     what lag/credit it carried across each handoff, how much the importing
     scheduler's clamp truncated, and which chaos verdict each handoff drew.
 
-    Like every stream in this repo, {!load} follows the Journal convention:
-    a torn {e final} line (interrupted append) is dropped, a bad line
-    followed by valid lines is corruption and refuses to load. *)
+    Like every stream in this repo it is framed by {!Wfs_util.Jsonl}. *)
 
 val schema : string
 (** ["wfs-causality/1"] *)
@@ -71,8 +69,8 @@ val count : t -> int
 val write : path:string -> event list -> unit
 
 val load : path:string -> (event list, Wfs_util.Error.t) result
-(** Torn final line dropped; mid-file corruption, a missing header or a
-    wrong schema tag yield [Error] (kind [Bad_spec]). *)
+(** {!Wfs_util.Jsonl.load}: torn final line dropped; mid-file corruption,
+    a missing header or a wrong schema tag yield [Error]. *)
 
 (** {1 Per-flow replay} *)
 

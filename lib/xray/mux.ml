@@ -1,5 +1,6 @@
 module Json = Wfs_util.Json
 module Error = Wfs_util.Error
+module Jsonl = Wfs_util.Jsonl
 module Sched = Wfs_core.Wireless_sched
 module Channel = Wfs_channel.Channel
 module Trace = Wfs_obs.Trace
@@ -170,16 +171,6 @@ let abort t =
     remove_parts t
   end
 
-(* --- merged header --- *)
-
-let header_to_json ~cells ~n_flows ~stride ~params =
-  Json.Obj
-    (("schema", Json.Str schema)
-    :: ("cells", Json.Int cells)
-    :: ("n_flows", Json.Int n_flows)
-    :: ("stride", Json.Int stride)
-    :: params)
-
 (* --- deterministic k-way merge.
 
    Each part is already slot-ordered (one cell's own timeline), so the
@@ -188,16 +179,20 @@ let header_to_json ~cells ~n_flows ~stride ~params =
    byte-identical across --jobs because the parts themselves are — every
    cell's stream depends only on that cell's deterministic state. --- *)
 
-type cursor = { ic : in_channel; mutable cur : (int * int * string) option }
+type cursor = { ic : in_channel; mutable cur : (Json.t * entry) option }
 
 let advance_cursor ~who cu =
   match input_line cu.ic with
   | exception End_of_file -> cu.cur <- None
   | line -> (
-      match entry_of_string line with
-      | Some e -> cu.cur <- Some (entry_slot e, entry_cell e, line)
-      | None ->
-          Error.invalidf who "corrupt part line during merge: %s" line)
+      let decoded =
+        match Json.of_string line with
+        | Ok v -> Option.map (fun e -> (v, e)) (entry_of_json v)
+        | Error _ -> None
+      in
+      match decoded with
+      | Some _ -> cu.cur <- decoded
+      | None -> Error.invalidf who "corrupt part line during merge: %s" line)
 
 (* CSV rendering of the merged timeline: one row per sample, flows mapped
    from cell-local index to global id through the latest roster of that
@@ -280,21 +275,22 @@ let finish t ~n_flows ?jsonl ?csv () =
         ~finally:(fun () -> Array.iter (fun cu -> close_in_noerr cu.ic) cursors)
         (fun () ->
           Array.iter (advance_cursor ~who) cursors;
-          let jout = Option.map open_out_bin jsonl in
+          let jout =
+            Option.map
+              (fun path ->
+                Jsonl.create ~path ~schema
+                  (("cells", Json.Int t.cells)
+                  :: ("n_flows", Json.Int n_flows)
+                  :: ("stride", Json.Int t.stride)
+                  :: t.params))
+              jsonl
+          in
           let cout = Option.map open_out_bin csv in
           Fun.protect
             ~finally:(fun () ->
-              Option.iter close_out_noerr jout;
+              Option.iter Jsonl.close_noerr jout;
               Option.iter close_out_noerr cout)
             (fun () ->
-              Option.iter
-                (fun oc ->
-                  output_string oc
-                    (Json.to_string ~pretty:false
-                       (header_to_json ~cells:t.cells ~n_flows
-                          ~stride:t.stride ~params:t.params));
-                  output_char oc '\n')
-                jout;
               Option.iter
                 (fun oc ->
                   output_string oc (String.concat "," (csv_columns n_flows));
@@ -308,12 +304,13 @@ let finish t ~n_flows ?jsonl ?csv () =
                   (fun c cu ->
                     match cu.cur with
                     | None -> ()
-                    | Some (slot, _, _) -> (
+                    | Some (_, e) -> (
                         match !best with
                         | -1 -> best := c
                         | b -> (
                             match cursors.(b).cur with
-                            | Some (bslot, _, _) when slot < bslot -> best := c
+                            | Some (_, be) when entry_slot e < entry_slot be ->
+                                best := c
                             | _ -> ())))
                   cursors;
                 match !best with
@@ -322,22 +319,16 @@ let finish t ~n_flows ?jsonl ?csv () =
                     let cu = cursors.(c) in
                     (match cu.cur with
                     | None -> ()
-                    | Some (_, _, line) ->
-                        Option.iter
-                          (fun oc ->
-                            output_string oc line;
-                            output_char oc '\n')
-                          jout;
-                        (match entry_of_string line with
-                        | Some (Roster { cell; gids; _ }) ->
-                            rosters.(cell) <- Some gids
-                        | Some (Sample { cell; sample }) ->
+                    | Some (v, e) -> (
+                        Option.iter (fun w -> Jsonl.append w v) jout;
+                        match e with
+                        | Roster { cell; gids; _ } -> rosters.(cell) <- Some gids
+                        | Sample { cell; sample } ->
                             Option.iter
                               (fun oc ->
                                 csv_row buf ~n_flows ~rosters cell sample;
                                 Buffer.output_buffer oc buf)
-                              cout
-                        | None -> ()));
+                              cout));
                     advance_cursor ~who cu;
                     loop ()
               in
@@ -353,77 +344,25 @@ type contents = {
   entries : entry list;
 }
 
-let header_of_json v =
-  let ( let* ) = Option.bind in
-  let* s = Option.bind (Json.member "schema" v) Json.to_str in
-  if not (String.equal s schema) then None
-  else
-    let* cells = Option.bind (Json.member "cells" v) Json.to_int in
-    let* n_flows = Option.bind (Json.member "n_flows" v) Json.to_int in
-    let* stride = Option.bind (Json.member "stride" v) Json.to_int in
-    if cells < 1 || n_flows < 1 || stride < 1 then None
-    else
-      let params =
-        match v with
-        | Json.Obj fields ->
-            List.filter
-              (fun (k, _) -> not (List.exists (String.equal k) reserved))
-              fields
-        | _ -> []
-      in
-      Some (cells, n_flows, stride, params)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
 let load ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Mux.load" what
-         ~context:(("path", path) :: context))
-  in
-  match read_lines path with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty xray trace (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match header_of_json hv with
-          | None -> fail "header is not a wfs-xray-trace/1 header" []
-          | Some (cells, n_flows, stride, params) ->
-              let n = List.length rest in
-              let rec go acc i = function
-                | [] ->
-                    Ok { cells; n_flows; stride; params; entries = List.rev acc }
-                | line :: tl -> (
-                    match entry_of_string line with
-                    | Some e ->
-                        if entry_cell e < 0 || entry_cell e >= cells then
-                          fail "entry cell outside header cells"
-                            [ ("line", string_of_int (i + 2)) ]
-                        else go (e :: acc) (i + 1) tl
-                    | None ->
-                        if i = n - 1 then
-                          Ok
-                            {
-                              cells;
-                              n_flows;
-                              stride;
-                              params;
-                              entries = List.rev acc;
-                            }
-                        else
-                          fail "corrupt entry before end of trace"
-                            [ ("line", string_of_int (i + 2)) ])
-              in
-              go [] 0 rest))
+  Jsonl.load ~who:"Mux.load" ~schema ~path
+    ~header:(fun fields ->
+      let ( let* ) = Option.bind in
+      let int k = Option.bind (List.assoc_opt k fields) Json.to_int in
+      let* cells = int "cells" in
+      let* n_flows = int "n_flows" in
+      let* stride = int "stride" in
+      if cells < 1 || n_flows < 1 || stride < 1 then None
+      else
+        let params =
+          List.filter (fun (k, _) -> not (List.exists (String.equal k) reserved)) fields
+        in
+        Some (cells, n_flows, stride, params))
+    ~line:(fun (cells, _, _, _) v ->
+      match entry_of_json v with
+      | None -> Jsonl.Undecodable
+      | Some e when entry_cell e < 0 || entry_cell e >= cells ->
+          Jsonl.Contradicts "entry cell outside header cells"
+      | Some e -> Jsonl.Decoded e)
+  |> Result.map (fun ((cells, n_flows, stride, params), entries) ->
+         { cells; n_flows; stride; params; entries })

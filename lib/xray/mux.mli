@@ -97,6 +97,6 @@ type contents = {
 }
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
-(** Journal convention: torn final line dropped; mid-file corruption, a
-    missing header or a wrong schema tag yield [Error] (kind
-    [Bad_spec]). *)
+(** {!Wfs_util.Jsonl.load}: torn final line dropped; mid-file corruption,
+    a missing header or a wrong schema tag yield [Error], and so does an
+    entry whose cell is outside the header's [cells] wherever it sits. *)

@@ -1,5 +1,3 @@
-module Json = Wfs_util.Json
-module Error = Wfs_util.Error
 module Tablefmt = Wfs_util.Tablefmt
 module Fairness = Wfs_core.Fairness
 module Trace = Wfs_obs.Trace
@@ -240,116 +238,34 @@ let of_windows (c : Windowed.contents) =
 let of_skip k =
   section ~heading:"fast-path skip telemetry" [ Skip_telemetry.to_table k ]
 
-(* --- chaos timelines (wfs-chaos/1-timeline JSONL).  Parsed generically —
-   one {"spec":...,"event":{"slot":...,"fault":{"kind":...}}} per line —
-   and summarized per fault kind, so the report needs no dependency on the
-   chaos library itself. --- *)
+(* --- chaos timelines: events summarized per fault kind. --- *)
 
-let of_timeline ~path =
-  let fail what context =
-    Error
-      (Error.v Error.Bad_spec ~who:"Report.of_timeline" what
-         ~context:(("path", path) :: context))
+let of_timeline stamped =
+  let module Chaos = Wfs_chaos.Chaos in
+  (* (kind, (first slot, last slot, count)); at most one row per kind. *)
+  let rows =
+    List.fold_left
+      (fun rows (_, (ev : Chaos.event)) ->
+        let kind = Chaos.fault_kind ev.Chaos.fault and slot = ev.Chaos.slot in
+        match List.assoc_opt kind rows with
+        | None -> (kind, (slot, slot, 1)) :: rows
+        | Some (lo, hi, k) ->
+            (kind, (Int.min lo slot, Int.max hi slot, k + 1))
+            :: List.remove_assoc kind rows)
+      [] stamped
   in
-  let read_lines () =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        go [])
+  let t =
+    Tablefmt.create ~title:"fault timeline"
+      ~columns:[ "kind"; "events"; "first slot"; "last slot" ]
   in
-  match read_lines () with
-  | exception Sys_error msg -> fail msg []
-  | [] -> fail "empty timeline (no header)" []
-  | hline :: rest -> (
-      match Json.of_string hline with
-      | Error msg -> fail "unreadable header" [ ("detail", msg) ]
-      | Ok hv -> (
-          match Option.bind (Json.member "schema" hv) Json.to_str with
-          | Some s when String.equal s "wfs-chaos/1-timeline" ->
-              let kinds : (string, int * int * int) Hashtbl.t =
-                Hashtbl.create 8
-              in
-              let kind_names = ref [] in
-              let total = ref 0 in
-              let n = List.length rest in
-              let rec go i = function
-                | [] -> Ok ()
-                | line :: tl -> (
-                    match Json.of_string line with
-                    | Error _ ->
-                        if i = n - 1 then Ok ()
-                        else
-                          fail "corrupt timeline line"
-                            [ ("line", string_of_int (i + 2)) ]
-                    | Ok v -> (
-                        let slot =
-                          Option.bind
-                            (Option.bind (Json.member "event" v)
-                               (Json.member "slot"))
-                            Json.to_int
-                        in
-                        let kind =
-                          Option.bind
-                            (Option.bind
-                               (Option.bind (Json.member "event" v)
-                                  (Json.member "fault"))
-                               (Json.member "kind"))
-                            Json.to_str
-                        in
-                        match (slot, kind) with
-                        | Some slot, Some kind ->
-                            incr total;
-                            let lo, hi, k =
-                              match Hashtbl.find_opt kinds kind with
-                              | None ->
-                                  kind_names := kind :: !kind_names;
-                                  (slot, slot, 0)
-                              | Some (lo, hi, k) -> (lo, hi, k)
-                            in
-                            Hashtbl.replace kinds kind
-                              (Int.min lo slot, Int.max hi slot, k + 1);
-                            go (i + 1) tl
-                        | _, _ ->
-                            if i = n - 1 then Ok ()
-                            else
-                              fail "timeline line has no event kind"
-                                [ ("line", string_of_int (i + 2)) ]))
-              in
-              Result.map
-                (fun () ->
-                  let t =
-                    Tablefmt.create ~title:"fault timeline"
-                      ~columns:[ "kind"; "events"; "first slot"; "last slot" ]
-                  in
-                  let sorted =
-                    List.filter_map
-                      (fun k ->
-                        Option.map
-                          (fun v -> (k, v))
-                          (Hashtbl.find_opt kinds k))
-                      (List.sort String.compare !kind_names)
-                  in
-                  List.iter
-                    (fun (kind, (lo, hi, k)) ->
-                      Tablefmt.add_row t
-                        [
-                          kind;
-                          string_of_int k;
-                          string_of_int lo;
-                          string_of_int hi;
-                        ])
-                    sorted;
-                  section ~heading:"chaos timeline"
-                    ~notes:[ Printf.sprintf "%d events" !total ]
-                    [ t ])
-                (go 0 rest)
-          | _ -> fail "header is not a wfs-chaos/1-timeline header" []))
+  List.iter
+    (fun (kind, (lo, hi, k)) ->
+      Tablefmt.add_row t
+        [ kind; string_of_int k; string_of_int lo; string_of_int hi ])
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+  section ~heading:"chaos timeline"
+    ~notes:[ Printf.sprintf "%d events" (List.length stamped) ]
+    [ t ]
 
 (* --- rendering --- *)
 

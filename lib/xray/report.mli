@@ -39,9 +39,10 @@ val of_windows : Windowed.contents -> section
 
 val of_skip : Wfs_core.Skip_stats.t -> section
 
-val of_timeline : path:string -> (section, Wfs_util.Error.t) result
-(** Parse a wfs-chaos/1-timeline JSONL file (schema-checked, torn final
-    line tolerated) and summarize events per fault kind. *)
+val of_timeline : (string * Wfs_chaos.Chaos.event) list -> section
+(** A loaded wfs-chaos/1-timeline ({!Wfs_chaos.Chaos.load_timeline},
+    framed by {!Wfs_util.Jsonl}): per fault kind, its event count and
+    first/last slot. *)
 
 val to_text : section list -> string
 

@@ -71,6 +71,6 @@ type contents = { window : int; windows : window list }
 val write : path:string -> window:int -> window list -> unit
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
-(** Journal convention: torn final line dropped; mid-file corruption, a
-    missing header or a wrong schema tag yield [Error] (kind
-    [Bad_spec]). *)
+(** {!Wfs_util.Jsonl.load}: torn final line dropped; mid-file corruption,
+    a missing header, a wrong schema tag or a [window] below 1 yield
+    [Error]. *)

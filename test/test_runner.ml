@@ -5,7 +5,7 @@ module Core = Wfs_core
 module Spec = Wfs_runner.Spec
 module Exec = Wfs_runner.Exec
 module Pool = Wfs_runner.Pool
-module Json = Wfs_runner.Json
+module Json = Wfs_util.Json
 module Artifact = Wfs_runner.Artifact
 
 let check_bool = Alcotest.(check bool)
@@ -601,6 +601,47 @@ let test_wireline_registry () =
     (Wfs_wireline.Registry.names ())
     instances
 
+(* Resuming a journal whose last append was torn: [reopen] must cut the
+   fragment off, so the first new entry lands on a line of its own and the
+   file loads again — old entries plus the new ones — on every later
+   resume.  A final entry that lost only its newline is kept, and the
+   next entry starts after it. *)
+let test_journal_reopen_after_torn_tail () =
+  let module Journal = Wfs_runner.Journal in
+  let path = Filename.temp_file "wfs_reopen" ".journal" in
+  let append_raw s =
+    Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+      (fun oc -> output_string oc s)
+  in
+  let keys () =
+    match Journal.load ~path () with
+    | Ok { entries; _ } -> List.map fst entries
+    | Error e -> Alcotest.failf "load: %s" (Wfs_util.Error.to_string e)
+  in
+  let resume key =
+    let w = Journal.reopen ~path in
+    Journal.append w ~key ~value:(Json.Int 0);
+    Journal.close w
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Journal.create ~path ~params:[] () in
+      Journal.append w ~key:"a" ~value:(Json.Int 1);
+      Journal.append w ~key:"b" ~value:(Json.Int 2);
+      Journal.close w;
+      append_raw "{\"key\":\"torn";
+      Alcotest.(check (list string)) "torn tail dropped" [ "a"; "b" ] (keys ());
+      resume "c";
+      Alcotest.(check (list string)) "first resume" [ "a"; "b"; "c" ] (keys ());
+      resume "d";
+      Alcotest.(check (list string))
+        "second resume" [ "a"; "b"; "c"; "d" ] (keys ());
+      append_raw "{\"key\":\"e\",\"value\":5}";
+      resume "f";
+      Alcotest.(check (list string))
+        "unterminated entry kept" [ "a"; "b"; "c"; "d"; "e"; "f" ] (keys ()))
+
 let suite =
   [
     ("pool matches sequential", `Quick, test_pool_matches_sequential);
@@ -610,6 +651,8 @@ let suite =
     ("exec invariant under order", `Slow, test_exec_order_invariant);
     ("exec replicate", `Slow, test_exec_replicate);
     ("journal truncate and resume", `Slow, test_journal_truncate_resume);
+    ("journal reopen after a torn tail", `Quick,
+     test_journal_reopen_after_torn_tail);
     ("spec round-trip", `Quick, test_spec_roundtrip);
     ("spec defaults and builder", `Quick, test_spec_defaults_and_builder);
     ("spec from scenario file", `Quick, test_spec_of_scenario_file);

@@ -822,6 +822,30 @@ let test_topo_journal_rejects_untagged_key () =
           Alcotest.(check string) "typed by the loader" "Topo_journal.load"
             e.Error.who)
 
+(* A torn topo journal resumed twice: [reopen] cuts the fragment, so both
+   resumes append whole lines and the file keeps loading. *)
+let test_topo_journal_reopen_after_torn_tail () =
+  with_temp_journal (fun path ->
+      let w = Topo_journal.create ~path ~params:tj_params in
+      Topo_journal.append_snapshot w ~spec:"s" ~slot:100 (Json.Int 1);
+      Topo_journal.close w;
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+        (fun oc -> output_string oc "{\"key\":\"torn");
+      let slots () =
+        match Topo_journal.load ~path with
+        | Ok c -> List.map fst (List.assoc "s" c.Topo_journal.snapshots)
+        | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
+      in
+      Alcotest.(check (list int)) "torn tail dropped" [ 100 ] (slots ());
+      List.iter
+        (fun slot ->
+          let w = Topo_journal.reopen ~path in
+          Topo_journal.append_snapshot w ~spec:"s" ~slot (Json.Int slot);
+          Topo_journal.close w)
+        [ 200; 300 ];
+      Alcotest.(check (list int))
+        "old barrier plus both resumed ones" [ 100; 200; 300 ] (slots ()))
+
 (* Kill-at-an-arbitrary-epoch, then resume: the resumed journal must be
    byte-identical to an uninterrupted run's, with every already-journaled
    barrier verified against the replay rather than trusted. *)
@@ -975,6 +999,8 @@ let suite =
       test_topo_journal_torn_tail;
     Alcotest.test_case "topo journal mid-file corruption rejected" `Quick
       test_topo_journal_corruption_rejected;
+    Alcotest.test_case "topo journal reopen after a torn tail" `Quick
+      test_topo_journal_reopen_after_torn_tail;
     Alcotest.test_case "topo journal rejects a foreign schema" `Quick
       test_topo_journal_rejects_foreign_schema;
     Alcotest.test_case "topo journal rejects untagged keys" `Quick

@@ -1,5 +1,5 @@
 (* wfs_xray: bit-exact codec round-trips for the causality / windowed /
-   mux schemas, Journal-convention torn-tail tolerance, windowed-collector
+   mux schemas, the Jsonl torn-tail rule, windowed-collector
    boundary behavior, skip-telemetry compression witnesses (a collector
    must never degenerate the fast path), and traced topology runs —
    byte-identical to bare runs and across every --jobs value. *)
@@ -202,7 +202,7 @@ let prop_causality_file_roundtrip =
           | Ok events' -> List.equal Causality.event_equal events events'
           | Error _ -> false))
 
-(* --- Journal convention: torn tail tolerated, corruption refused --- *)
+(* --- Jsonl torn-tail rule: torn tail tolerated, corruption refused --- *)
 
 let sample_events =
   [
@@ -565,7 +565,7 @@ let test_merged_stream_is_well_formed () =
               (Sys.file_exists (Printf.sprintf "%s.part%d" jsonl cell))
           done
       | Error e -> Alcotest.failf "mux load: %s" (Error.to_string e));
-      (* Torn tail on the merged stream follows the Journal convention. *)
+      (* Torn tail on the merged stream follows the Jsonl torn-tail rule. *)
       let before =
         match Mux.load ~path:jsonl with
         | Ok c -> List.length c.Mux.entries
