@@ -46,7 +46,8 @@ perf:
 # %.12g and %.17g tags, "inf"), the CIF-Q-P trace the lag field.  A
 # faulted 4-cell CIF-Q-P topology pins every other JSONL artifact (x-ray
 # trace, causality log, windows stream, fault timeline, topology journal)
-# and the wfs_report text dashboard over the first four.
+# and the wfs_report text dashboard over the first four — regenerated a
+# second time by resuming over the run's own finished journal.
 TOPO_GOLDEN_FAULTS = crash:0.05;recover:0.5;lose:0.1;corrupt:0.1;blackout:0.05x100;exn:0.05;persist:0.25;budget:2
 
 golden-check:
@@ -65,18 +66,22 @@ golden-check:
 	  cmp "$$tmp/$$f" "test/golden/$$f" || exit 1; \
 	done; \
 	t="$$tmp/topo-cifq-e1"; \
-	dune exec bin/wfs_sim.exe -- -e 1 -a CIF-Q-P -n 3000 -s 42 --cells 4 \
-	  --mobility 0.01 --epoch 500 --faults '$(TOPO_GOLDEN_FAULTS)' --jobs 2 \
-	  --csv --trace-out "$$t.xray.jsonl" --trace-stride 50 \
-	  --causality "$$t.causality.jsonl" --windows "$$t.windows.jsonl" \
-	  --window-slots 500 --fault-timeline "$$t.timeline.jsonl" \
-	  --resume "$$t.topoj" > "$$t.csv" || exit 1; \
-	dune exec bin/wfs_report.exe -- --xray-trace "$$t.xray.jsonl" \
-	  --causality "$$t.causality.jsonl" --windows "$$t.windows.jsonl" \
-	  --timeline "$$t.timeline.jsonl" > "$$t.report.txt" || exit 1; \
-	for x in csv xray.jsonl causality.jsonl windows.jsonl timeline.jsonl \
-	    topoj report.txt; do \
-	  cmp "$$t.$$x" "test/golden/topo-cifq-e1.$$x" || exit 1; \
+	for pass in fresh resumed; do \
+	  rm -f "$$t.csv" "$$t.xray.jsonl" "$$t.causality.jsonl" \
+	    "$$t.windows.jsonl" "$$t.timeline.jsonl" "$$t.report.txt"; \
+	  dune exec bin/wfs_sim.exe -- -e 1 -a CIF-Q-P -n 3000 -s 42 --cells 4 \
+	    --mobility 0.01 --epoch 500 --faults '$(TOPO_GOLDEN_FAULTS)' --jobs 2 \
+	    --csv --trace-out "$$t.xray.jsonl" --trace-stride 50 \
+	    --causality "$$t.causality.jsonl" --windows "$$t.windows.jsonl" \
+	    --window-slots 500 --fault-timeline "$$t.timeline.jsonl" \
+	    --resume "$$t.topoj" > "$$t.csv" || exit 1; \
+	  dune exec bin/wfs_report.exe -- --xray-trace "$$t.xray.jsonl" \
+	    --causality "$$t.causality.jsonl" --windows "$$t.windows.jsonl" \
+	    --timeline "$$t.timeline.jsonl" > "$$t.report.txt" || exit 1; \
+	  for x in csv xray.jsonl causality.jsonl windows.jsonl timeline.jsonl \
+	      topoj report.txt; do \
+	    cmp "$$t.$$x" "test/golden/topo-cifq-e1.$$x" || exit 1; \
+	  done; \
 	done; \
 	rm -rf "$$tmp"; \
 	cd test/golden && sha256sum -c SHA256SUMS

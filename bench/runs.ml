@@ -129,45 +129,24 @@ let result_of_json j =
 
 (* --- resume --- *)
 
-let params_equal a b =
-  let norm l =
-    List.sort (fun (k, _) (k', _) -> String.compare k k') l
-    |> List.map (fun (k, v) -> (k, Json.to_string ~pretty:false v))
-  in
-  List.equal (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
-    (norm a) (norm b)
-
-(* Load a journal into [cached] and return an append-mode writer; create a
-   fresh journal when the file does not exist yet.  An unusable journal
-   (corrupt, wrong schema, different sweep settings) raises the typed
-   error — resuming over it could resurrect results from another sweep. *)
+(* Load a journal's entries into [cached] and return an append-mode writer
+   (Journal.resume creates a fresh journal when the file does not exist
+   yet).  An unusable journal (corrupt, wrong schema, different sweep
+   settings, an undecodable entry) raises the typed error — resuming over
+   it could resurrect results from another sweep. *)
 let open_journal ~params ~cached path =
-  if Sys.file_exists path then begin
-    match Journal.load ~path () with
-    | Error e -> Error.raise_ e
-    | Ok { params = found; entries } ->
-        if not (params_equal found params) then
-          Error.bad_spec ~who:"Runs.exec"
-            "journal was written for different sweep settings"
-            ~context:
-              [
-                ("path", path);
-                ( "journal",
-                  Json.to_string ~pretty:false (Json.Obj found) );
-                ( "sweep",
-                  Json.to_string ~pretty:false (Json.Obj params) );
-              ];
-        List.iter
-          (fun (key, v) ->
-            match result_of_json v with
-            | Some r -> Hashtbl.replace cached key r
-            | None ->
-                Error.bad_spec ~who:"Runs.exec" "unreadable journal entry"
-                  ~context:[ ("path", path); ("key", key) ])
-          entries;
-        Journal.reopen ~path
-  end
-  else Journal.create ~path ~params ()
+  let writer, { Journal.entries; _ } =
+    Journal.resume ~who:"Runs.exec" ~path ~params ()
+  in
+  List.iter
+    (fun (key, v) ->
+      match result_of_json v with
+      | Some r -> Hashtbl.replace cached key r
+      | None ->
+          Error.bad_spec ~who:"Runs.exec" "unreadable journal entry"
+            ~context:[ ("path", path); ("key", key) ])
+    entries;
+  writer
 
 let exec ~opts job_list =
   invariants_flag := opts.invariants;

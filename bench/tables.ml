@@ -69,15 +69,7 @@ let custom_metrics ~opts get key =
 
 (* One rendered cell from a replicated run: the plain value for a single
    seed, "mean±ci" (95% Student-t half-width) across several. *)
-let agg ?decimals ms f =
-  match ms with
-  | [ m ] -> cell ?decimals (f m)
-  | ms ->
-      let s = Summary.create () in
-      List.iter (fun m -> Summary.add s (f m)) ms;
-      Printf.sprintf "%s±%s"
-        (cell ?decimals (Summary.mean s))
-        (cell ?decimals (Summary.ci95 s))
+let agg ?decimals ms f = T.cell_of_samples ?decimals (List.map f ms)
 
 let run_direct ?observer ~horizon ~predictor setups sched =
   let cfg =
@@ -1011,13 +1003,6 @@ let sections ~opts =
     bounds_check ~opts;
   ]
 
-let to_artifact t =
-  {
-    Wfs_runner.Artifact.title = T.title t;
-    columns = T.columns t;
-    rows = T.rows t;
-  }
-
 let all ?run_opts ~opts () =
   let secs = sections ~opts in
   let run_opts =
@@ -1040,4 +1025,4 @@ let all ?run_opts ~opts () =
             [])
       secs
   in
-  (List.map to_artifact tables, stats, failures)
+  (List.map Wfs_runner.Artifact.table_of tables, stats, failures)

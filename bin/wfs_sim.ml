@@ -10,17 +10,26 @@
      wfs_sim --spec 'example:1?sum=0.5 | WPS | seed=7 | horizon=50000'
      wfs_sim -e 1 --seeds 5 --jobs 4        # 5 replicas/run, mean±CI cells
 
-   Schedulers are resolved through Wfs_core.Registry (see --list), runs are
-   typed Wfs_runner.Spec values, and replicas execute in parallel on a
-   domain pool — output is identical for every --jobs value. *)
+   Schedulers are resolved through Wfs_core.Registry (see --list) and runs
+   are typed Wfs_runner.Spec values.  This file only parses, validates and
+   renders: single-cell replicas run through Wfs_runner.Exec.replicas /
+   run_outcome, multi-cell runs (and --resume) through Wfs_topo.Topo_run —
+   output is identical for every --jobs value. *)
 
 module Registry = Wfs_core.Registry
 module Spec = Wfs_runner.Spec
 module T = Wfs_util.Tablefmt
 module M = Wfs_core.Metrics
-module Summary = Wfs_util.Stats.Summary
 
 type output = Table | Csv
+
+(* Refuse a command line with exit 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "wfs_sim: %s\n" msg;
+      exit 2)
+    fmt
 
 (* Map the legacy family names (-a wrr -k both) onto registry names; pass
    anything else through the registry itself, so every canonical name and
@@ -50,802 +59,334 @@ let resolve_algorithms algo info =
       String.split_on_char ',' algo
       |> List.map (fun name -> (Registry.get (String.trim name)).Registry.name)
 
-type run_result = {
+(* --- rendering shared by single-cell and topology runs --- *)
+
+(* The main result table: aligned text, or CSV on stdout. *)
+let print_rows ~output ~title ~columns rows =
+  match output with
+  | Table ->
+      let t = T.create ~title ~columns in
+      List.iter (T.add_row t) rows;
+      T.print t
+  | Csv ->
+      print_endline (String.concat "," columns);
+      List.iter (fun r -> print_endline (String.concat "," r)) rows
+
+(* Side tables (skip telemetry, profiler phases): stderr under --csv, so
+   the golden-gated stdout stays byte-identical and parseable. *)
+let print_side ~output t =
+  match output with
+  | Table -> T.print t
+  | Csv -> output_string stderr (T.render t)
+
+(* jobs and wall_clock_s are normalised (1 / 0.) so the artifact is
+   byte-identical for every --jobs value: registries merge in run order
+   regardless of which domain ran what. *)
+let write_metrics ~path ~(first : Spec.t) ~seeds ~runs ~slots tables =
+  Wfs_runner.Artifact.write ~path
+    (Wfs_runner.Artifact.v ~horizon:first.horizon ~seed:first.seed ~seeds
+       ~jobs:1 ~runs ~slots ~wall_clock_s:0. ~tables)
+
+(* Failed runs lose only their own rows: their typed errors are listed on
+   stderr (so piped --csv output stays parseable) and the process exits 3
+   instead of aborting mid-sweep. *)
+let report_failures heading = function
+  | [] -> ()
+  | failures ->
+      Printf.eprintf "\n=== %s (%d) ===\n" heading (List.length failures);
+      List.iter
+        (fun (key, e) ->
+          Printf.eprintf "  %s\n    %s\n" key (Wfs_util.Error.to_string e))
+        failures;
+      exit 3
+
+let instrument_table ~title registries =
+  Wfs_runner.Artifact.table_of
+    (Wfs_obs.Instruments.to_table ~title
+       (Wfs_obs.Instruments.merge_all registries))
+
+(* --- single-cell runs --- *)
+
+(* What one replica hands back for rendering. *)
+type replica = {
   metrics : M.t;
   jain_gap : (float * float) option;  (* windowed fairness, when requested *)
   instruments : Wfs_obs.Instruments.t option;  (* for --metrics-out *)
   skip : Wfs_core.Skip_stats.t option;  (* fast-path skip telemetry *)
 }
 
-(* Observability options threaded into every run.  Sinks and the profiler
-   are shared mutable objects, so the driver forces --jobs 1 whenever they
-   are present; instrument registries are per-run and merge afterwards in
-   unit order, so they work at any job count. *)
-type obs = {
-  want_instruments : bool;
-  sinks : Wfs_obs.Sink.t list;
-  stride : int;
-  profiler : Wfs_obs.Profiler.t option;
-  flight : int option;  (* flight-recorder capacity *)
-  windows : (string * int) option;  (* --windows path, --window-slots *)
-}
-
-(* One self-contained run: registry lookup, fresh seeded setups, optional
-   fairness monitor and telemetry.  Safe to execute on any domain (with
-   the sink/profiler caveat above). *)
-let run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs
-    (spec : Spec.t) =
-  let entry = Registry.get spec.sched in
-  let setups = Wfs_runner.Exec.setups_of spec in
-  let flows = Wfs_core.Presets.flows_of setups in
-  let sched = entry.Registry.make ~credit_limit:credit ~debit_limit:debit flows in
-  let monitor =
-    if fairness then
-      Some
-        (Wfs_core.Fairness.Monitor.create
-           ~weights:(Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows)
-           ~window:100 ~sched)
-    else None
-  in
-  let registry =
-    if obs.want_instruments then Some (Wfs_obs.Instruments.create ()) else None
-  in
-  let slot_probe =
-    if obs.want_instruments || obs.sinks <> [] then
-      Some
-        (Wfs_obs.Probe.create ~stride:obs.stride ~sinks:obs.sinks
-           ?instruments:registry ~n_flows:(Array.length setups) sched)
-    else None
-  in
-  let trace =
-    Option.map
-      (fun cap -> Wfs_core.Simulator.Tracelog.create ~capacity:cap ())
-      obs.flight
-  in
-  (* Windowed aggregation is a per-slot observer here (it degenerates the
-     fast path, like --fairness); topology runs sample at barriers
-     instead and stay compressed. *)
-  let wcoll =
-    Option.map
-      (fun (_, window) ->
-        Wfs_xray.Windowed.create
-          ~weights:
-            (Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) flows)
-          ~window)
-      obs.windows
-  in
-  let observer =
-    match
-      ( Option.map Wfs_core.Fairness.Monitor.observer monitor,
-        Option.map Wfs_xray.Windowed.observer wcoll )
-    with
-    | None, None -> None
-    | (Some _ as f), None -> f
-    | None, (Some _ as g) -> g
-    | Some f, Some g ->
-        Some
-          (fun slot m ->
-            f slot m;
-            g slot m)
-  in
-  (* Skip telemetry records at window granularity and is deliberately NOT
-     part of the fast path's degeneration condition: a --fast-path run
-     stays compressed while counting what it skipped. *)
-  let skip = if fast_path then Some (Wfs_core.Skip_stats.create ()) else None in
-  let cfg =
-    Wfs_core.Simulator.config ~predictor:entry.Registry.predictor
-      ?observer ?trace ?slot_probe
-      ?profiler:(Option.map Wfs_obs.Profiler.hooks obs.profiler)
-      ?skip_stats:skip ~invariants ~fast_path ~horizon:spec.horizon setups
-  in
-  match Wfs_core.Simulator.run cfg sched with
-  | metrics ->
-      (match (wcoll, obs.windows) with
-      | Some w, Some (path, window) ->
-          Wfs_xray.Windowed.flush w ~slot:(spec.horizon - 1) ~metrics;
-          Wfs_xray.Windowed.write ~path ~window (Wfs_xray.Windowed.windows w)
-      | _ -> ());
-      {
-        metrics;
-        jain_gap =
-          Option.map
-            (fun mon ->
-              ( Wfs_core.Fairness.Monitor.mean_jain mon,
-                Wfs_core.Fairness.Monitor.worst_gap mon ))
-            monitor;
-        instruments = registry;
-        skip;
-      }
-  | exception exn -> (
-      (* With a flight recorder on, a dying run takes its last N events
-         along: re-raise as a typed error whose context carries them, so
-         the failure table shows what the scheduler was doing. *)
-      match trace with
-      | None -> raise exn
-      | Some tr ->
-          let backtrace = Printexc.get_raw_backtrace () in
-          let e = Wfs_util.Error.of_exn ~who:"wfs_sim" ~backtrace exn in
-          Wfs_util.Error.raise_
-            (Wfs_util.Error.add_context (Wfs_runner.Exec.flight_context tr) e))
-
-(* One rendered cell: plain value for a single replica, mean±95% CI across
-   several. *)
-let agg ?decimals results f =
-  match results with
-  | [| r |] -> T.cell_of_float ?decimals (f r)
-  | results ->
-      let s = Summary.create () in
-      Array.iter (fun r -> Summary.add s (f r)) results;
-      Printf.sprintf "%s±%s"
-        (T.cell_of_float ?decimals (Summary.mean s))
-        (T.cell_of_float ?decimals (Summary.ci95 s))
-
 (* Run every (label, spec) with [seeds] replicas crash-isolated on the
    domain pool and print one row per flow per label.  A replica that fails
-   (raise, or slot budget refusal) loses only its own label: that label's
-   rows are skipped, the typed errors are listed in a failure table, and
-   the process exits 3 instead of aborting mid-sweep. *)
+   (raise, or slot budget refusal) loses only its own label. *)
 let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
     ~retries ~max_slots ~invariants ~fast_path ~flow_base ~metrics_out
     ~trace_out ~trace_csv ~trace_stride ~profile ~flight_recorder
     ~windows_out ~window_slots labeled_specs =
-  let units =
-    Array.of_list
-      (List.concat_map
-         (fun (_, sp) ->
-           List.init seeds (fun k -> Spec.with_seed (sp.Spec.seed + k) sp))
-         labeled_specs)
-  in
+  let specs = List.map snd labeled_specs in
+  let runs = List.length specs * seeds in
   let tracing = trace_out <> None || trace_csv <> None in
-  if tracing && Array.length units <> 1 then begin
-    Printf.eprintf
-      "wfs_sim: --trace-out/--trace-csv need exactly one run (one algorithm, \
-       --seeds 1); got %d runs\n"
-      (Array.length units);
-    exit 2
-  end;
-  if windows_out <> None && Array.length units <> 1 then begin
-    Printf.eprintf
-      "wfs_sim: --windows needs exactly one run (one algorithm, --seeds 1); \
-       got %d runs\n"
-      (Array.length units);
-    exit 2
-  end;
+  if tracing && runs <> 1 then
+    usage
+      "--trace-out/--trace-csv need exactly one run (one algorithm, --seeds \
+       1); got %d runs"
+      runs;
+  if windows_out <> None && runs <> 1 then
+    usage
+      "--windows needs exactly one run (one algorithm, --seeds 1); got %d runs"
+      runs;
+  (* The spec's flows, only for the observers that need their count or
+     weights; Exec builds the run's own. *)
+  let flows sp = Wfs_core.Presets.flows_of (Wfs_runner.Exec.setups_of sp) in
   let sinks =
-    if not tracing then []
-    else begin
-      let sp = units.(0) in
-      let n_flows = Array.length (Wfs_runner.Exec.setups_of sp) in
-      let hdr =
-        Wfs_obs.Trace.header ~stride:trace_stride
-          ~params:
-            [
-              ("sched", Wfs_util.Json.Str sp.Spec.sched);
-              ("seed", Wfs_util.Json.Int sp.Spec.seed);
-              ("horizon", Wfs_util.Json.Int sp.Spec.horizon);
-            ]
-          ~n_flows ()
-      in
-      List.filter_map Fun.id
-        [
-          Option.map (fun p -> Wfs_obs.Sink.jsonl ~path:p hdr) trace_out;
-          Option.map (fun p -> Wfs_obs.Sink.csv ~path:p hdr) trace_csv;
-        ]
-    end
+    match specs with
+    | [ (sp : Spec.t) ] when tracing ->
+        let hdr =
+          Wfs_obs.Trace.header ~stride:trace_stride
+            ~params:
+              [
+                ("sched", Wfs_util.Json.Str sp.sched);
+                ("seed", Wfs_util.Json.Int sp.seed);
+                ("horizon", Wfs_util.Json.Int sp.horizon);
+              ]
+            ~n_flows:(Array.length (flows sp))
+            ()
+        in
+        List.filter_map Fun.id
+          [
+            Option.map (fun p -> Wfs_obs.Sink.jsonl ~path:p hdr) trace_out;
+            Option.map (fun p -> Wfs_obs.Sink.csv ~path:p hdr) trace_csv;
+          ]
+    | _ -> []
   in
   let profiler = if profile then Some (Wfs_obs.Profiler.create ()) else None in
-  let obs =
-    {
-      want_instruments = metrics_out <> None;
-      sinks;
-      stride = trace_stride;
-      profiler;
-      flight = flight_recorder;
-      windows = Option.map (fun p -> (p, window_slots)) windows_out;
-    }
+  let run (sp : Spec.t) =
+    let flows = lazy (flows sp) in
+    let weights () =
+      Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) (Lazy.force flows)
+    in
+    let instruments =
+      Option.map (fun _ -> Wfs_obs.Instruments.create ()) metrics_out
+    in
+    let probe =
+      if instruments = None && sinks = [] then None
+      else
+        Some
+          (fun sched ->
+            Wfs_obs.Probe.create ~stride:trace_stride ~sinks ?instruments
+              ~n_flows:(Array.length (Lazy.force flows))
+              sched)
+    in
+    (* Windowed aggregation is a per-slot observer here (it degenerates the
+       fast path, like --fairness); topology runs sample at barriers
+       instead and stay compressed. *)
+    let wcoll =
+      Option.map
+        (fun _ ->
+          Wfs_xray.Windowed.create ~weights:(weights ()) ~window:window_slots)
+        windows_out
+    in
+    let monitor = ref None in
+    let observer =
+      if (not fairness) && wcoll = None then None
+      else
+        Some
+          (fun sched ->
+            if fairness then
+              monitor :=
+                Some
+                  (Wfs_core.Fairness.Monitor.create ~weights:(weights ())
+                     ~window:100 ~sched);
+            let mon = !monitor in
+            fun slot m ->
+              Option.iter
+                (fun mon -> Wfs_core.Fairness.Monitor.observer mon slot m)
+                mon;
+              Option.iter (fun w -> Wfs_xray.Windowed.observer w slot m) wcoll)
+    in
+    (* Skip telemetry records at window granularity and is deliberately NOT
+       part of the fast path's degeneration condition: a --fast-path run
+       stays compressed while counting what it skipped. *)
+    let skip =
+      if fast_path then Some (Wfs_core.Skip_stats.create ()) else None
+    in
+    Wfs_runner.Exec.run_outcome ~credit_limit:credit ~debit_limit:debit
+      ?observer ?probe
+      ?profiler:(Option.map Wfs_obs.Profiler.hooks profiler)
+      ?flight_recorder ?skip_stats:skip ~invariants ~fast_path ?max_slots sp
+    |> Result.map (fun metrics ->
+           (match (wcoll, windows_out) with
+           | Some w, Some path ->
+               Wfs_xray.Windowed.flush w ~slot:(sp.horizon - 1) ~metrics;
+               Wfs_xray.Windowed.write ~path ~window:window_slots
+                 (Wfs_xray.Windowed.windows w)
+           | _ -> ());
+           {
+             metrics;
+             jain_gap =
+               Option.map
+                 (fun mon ->
+                   ( Wfs_core.Fairness.Monitor.mean_jain mon,
+                     Wfs_core.Fairness.Monitor.worst_gap mon ))
+                 !monitor;
+             instruments;
+             skip;
+           })
   in
-  let outcomes =
-    Wfs_runner.Pool.map_outcomes ~jobs ~retries
-      (fun (sp : Spec.t) ->
-        match max_slots with
-        | Some cap when sp.Spec.horizon > cap ->
-            (* Deterministic watchdog: the slot loop is horizon-bounded, so
-               a run's cost is declared up front and over-budget runs are
-               refused before they start. *)
-            Error
-              (Wfs_util.Error.v Wfs_util.Error.Sim_fault ~who:"wfs_sim"
-                 "slot budget exceeded"
-                 ~context:
-                   [
-                     ("spec", Spec.to_string sp);
-                     ("horizon", string_of_int sp.Spec.horizon);
-                     ("max_slots", string_of_int cap);
-                   ])
-        | _ ->
-            Ok (run_one ~credit ~debit ~fairness ~invariants ~fast_path ~obs sp))
-      units
-  in
+  let outcomes = Wfs_runner.Exec.replicas ~jobs ~retries ~seeds run specs in
   List.iter Wfs_obs.Sink.close sinks;
   let columns =
     [ "algorithm"; "flow"; "mean_delay"; "loss"; "max_delay"; "stddev"; "thpt" ]
-    @ (if fairness then [ "jain"; "worst_gap" ] else [])
+    @ if fairness then [ "jain"; "worst_gap" ] else []
   in
-  let table = T.create ~title ~columns in
-  let csv_rows = ref [] in
   let failures = ref [] in
-  let emit cells =
-    match output with
-    | Table -> T.add_row table cells
-    | Csv -> csv_rows := String.concat "," cells :: !csv_rows
+  let rows =
+    List.map2
+      (fun (label, (sp : Spec.t)) reps_out ->
+        match
+          Array.to_list reps_out
+          |> List.filter_map (function Ok r -> Some r | Error _ -> None)
+        with
+        | reps when List.compare_length_with reps seeds = 0 ->
+            let agg ?decimals f =
+              T.cell_of_samples ?decimals (List.map f reps)
+            in
+            List.init (M.n_flows (List.hd reps).metrics) (fun i ->
+                [
+                  label;
+                  string_of_int (i + flow_base);
+                  agg (fun r -> M.mean_delay r.metrics ~flow:i);
+                  agg ~decimals:4 (fun r -> M.loss r.metrics ~flow:i);
+                  agg (fun r -> M.max_delay r.metrics ~flow:i);
+                  agg (fun r -> M.stddev_delay r.metrics ~flow:i);
+                  agg ~decimals:4 (fun r ->
+                      M.throughput r.metrics ~flow:i ~slots:sp.horizon);
+                ]
+                @
+                if fairness then
+                  [
+                    agg ~decimals:4 (fun r -> fst (Option.get r.jain_gap));
+                    agg (fun r -> snd (Option.get r.jain_gap));
+                  ]
+                else [])
+        | _ ->
+            Array.iteri
+              (fun k -> function
+                | Error e ->
+                    failures :=
+                      (Spec.to_string (Spec.with_seed (sp.seed + k) sp), e)
+                      :: !failures
+                | Ok _ -> ())
+              reps_out;
+            [])
+      labeled_specs outcomes
+    |> List.concat
   in
-  List.iteri
-    (fun li (label, (sp : Spec.t)) ->
-      let reps_out = Array.sub outcomes (li * seeds) seeds in
-      let failed =
-        Array.exists (function Error _ -> true | Ok _ -> false) reps_out
-      in
-      if failed then
-        Array.iteri
-          (fun k out ->
-            match out with
-            | Error e ->
-                failures :=
-                  (Spec.to_string (Spec.with_seed (sp.Spec.seed + k) sp), e)
-                  :: !failures
-            | Ok _ -> ())
-          reps_out
-      else begin
-        let reps =
-          Array.map
-            (function Ok r -> r | Error _ -> assert false)
-            reps_out
-        in
-        let n_flows = M.n_flows reps.(0).metrics in
-        for i = 0 to n_flows - 1 do
-          let base =
-            [
-              label;
-              string_of_int (i + flow_base);
-              agg reps (fun r -> M.mean_delay r.metrics ~flow:i);
-              agg ~decimals:4 reps (fun r -> M.loss r.metrics ~flow:i);
-              agg reps (fun r -> M.max_delay r.metrics ~flow:i);
-              agg reps (fun r -> M.stddev_delay r.metrics ~flow:i);
-              agg ~decimals:4 reps (fun r ->
-                  M.throughput r.metrics ~flow:i ~slots:sp.Spec.horizon);
-            ]
-          in
-          let extra =
-            if fairness then
-              [
-                agg ~decimals:4 reps (fun r -> fst (Option.get r.jain_gap));
-                agg reps (fun r -> snd (Option.get r.jain_gap));
-              ]
-            else []
-          in
-          emit (base @ extra)
-        done
-      end)
-    labeled_specs;
-  (match output with
-  | Table -> T.print table
-  | Csv ->
-      print_endline (String.concat "," columns);
-      List.iter print_endline (List.rev !csv_rows));
-  (* Fast-path skip telemetry, merged across runs in unit order.  stderr
-     under --csv so the golden-gated stdout stays byte-identical. *)
+  print_rows ~output ~title ~columns rows;
+  let ok =
+    List.concat_map Array.to_list outcomes
+    |> List.filter_map (function Ok r -> Some r | Error _ -> None)
+  in
+  (* Fast-path skip telemetry, merged across runs in run order. *)
   let skip_merged =
-    Wfs_xray.Skip_telemetry.merge_all
-      (Array.to_list outcomes
-      |> List.filter_map (function
-           | Ok { skip = Some k; _ } -> Some k
-           | Ok _ | Error _ -> None))
+    Wfs_xray.Skip_telemetry.merge_all (List.filter_map (fun r -> r.skip) ok)
   in
-  (match skip_merged with
-  | None -> ()
-  | Some k ->
-      let t = Wfs_xray.Skip_telemetry.to_table k in
-      (match output with
-      | Table -> T.print t
-      | Csv -> output_string stderr (T.render t)));
-  (match metrics_out with
-  | None -> ()
-  | Some path -> (
-      let registries =
-        Array.to_list outcomes
-        |> List.filter_map (function
-             | Ok { instruments = Some r; _ } -> Some r
-             | Ok _ | Error _ -> None)
-      in
-      match registries with
-      | [] -> ()  (* every run failed; the failure table tells the story *)
-      | registries ->
-          let merged = Wfs_obs.Instruments.merge_all registries in
-          let t = Wfs_obs.Instruments.to_table ~title:"probe instruments" merged in
-          let art_table =
-            {
-              Wfs_runner.Artifact.title = T.title t;
-              columns = T.columns t;
-              rows = T.rows t;
-            }
-          in
-          let art_tables =
-            [ art_table ]
-            @
-            match skip_merged with
-            | Some k -> [ Wfs_xray.Skip_telemetry.artifact_table k ]
-            | None -> []
-          in
-          let sp0 = units.(0) in
-          let slots =
-            Array.fold_left
-              (fun acc (sp : Spec.t) -> acc + sp.Spec.horizon)
-              0 units
-          in
-          (* jobs and wall_clock_s are normalised (1 / 0.) so the artifact
-             is byte-identical for every --jobs value — registries merge in
-             unit order regardless of which domain ran what. *)
-          let art =
-            Wfs_runner.Artifact.v ~horizon:sp0.Spec.horizon ~seed:sp0.Spec.seed
-              ~seeds ~jobs:1 ~runs:(Array.length units) ~slots
-              ~wall_clock_s:0. ~tables:art_tables
-          in
-          Wfs_runner.Artifact.write ~path art));
-  (match obs.profiler with
-  | None -> ()
-  | Some prof ->
-      let slots =
-        Array.fold_left (fun acc (sp : Spec.t) -> acc + sp.Spec.horizon) 0 units
-      in
-      let phase = Wfs_obs.Profiler.phase_table ~slots prof in
-      (* stderr under --csv, so piped output stays parseable *)
-      (match output with
-      | Table -> T.print phase
-      | Csv -> output_string stderr (T.render phase)));
-  match List.rev !failures with
-  | [] -> ()
-  | failures ->
-      (* stderr, so piped --csv output stays parseable *)
-      Printf.eprintf "\n=== Failed runs (%d) ===\n" (List.length failures);
-      List.iter
-        (fun (key, e) ->
-          Printf.eprintf "  %s\n    %s\n" key (Wfs_util.Error.to_string e))
-        failures;
-      exit 3
+  Option.iter
+    (fun k -> print_side ~output (Wfs_xray.Skip_telemetry.to_table k))
+    skip_merged;
+  let slots =
+    seeds * List.fold_left (fun acc (sp : Spec.t) -> acc + sp.horizon) 0 specs
+  in
+  (match (metrics_out, List.filter_map (fun r -> r.instruments) ok) with
+  | None, _ | Some _, [] -> ()  (* every run failed; see the failure table *)
+  | Some path, registries ->
+      write_metrics ~path ~first:(List.hd specs) ~seeds ~runs ~slots
+        (instrument_table ~title:"probe instruments" registries
+        :: Option.to_list
+             (Option.map
+                (fun k -> Wfs_xray.Skip_telemetry.artifact_table k)
+                skip_merged)));
+  Option.iter
+    (fun prof -> print_side ~output (Wfs_obs.Profiler.phase_table ~slots prof))
+    profiler;
+  report_failures "Failed runs" (List.rev !failures)
 
-(* Everything one finished topology run contributes to the rendered
-   output — also the payload a Topo_journal result line carries, so a
-   resumed driver can replay a completed spec without re-running it. *)
-type topo_run = {
-  t_metrics : M.t;
-  t_homes : int array;
-  t_n_cells : int;
-  t_handoffs : int;
-  t_instruments : Wfs_obs.Instruments.t;
-  t_chaos : Wfs_obs.Instruments.t option;
-  t_timeline : Wfs_chaos.Chaos.event list;
-}
+(* --- topology runs --- *)
 
-let topo_run_to_json r =
-  let module J = Wfs_util.Json in
-  J.Obj
-    ([
-       ("metrics", M.to_json r.t_metrics);
-       ( "homes",
-         J.Arr (Array.to_list (Array.map (fun c -> J.Int c) r.t_homes)) );
-       ("n_cells", J.Int r.t_n_cells);
-       ("handoffs", J.Int r.t_handoffs);
-       ("instruments", Wfs_obs.Instruments.to_json r.t_instruments);
-     ]
-    @ (match r.t_chaos with
-      | Some ins -> [ ("chaos", Wfs_obs.Instruments.to_json ins) ]
-      | None -> [])
-    @
-    match r.t_timeline with
-    | [] -> []
-    | tl ->
-        [ ("timeline", J.Arr (List.map Wfs_chaos.Chaos.event_to_json tl)) ])
-
-let topo_run_of_json j =
-  let module J = Wfs_util.Json in
-  let ( let* ) = Option.bind in
-  let* metrics = Option.bind (J.member "metrics" j) M.of_json in
-  let* homes = Option.bind (J.member "homes" j) J.to_list in
-  let* homes =
-    List.fold_right
-      (fun v acc ->
-        match (J.to_int v, acc) with
-        | Some c, Some tl -> Some (c :: tl)
-        | _ -> None)
-      homes (Some [])
-  in
-  let* n_cells = Option.bind (J.member "n_cells" j) J.to_int in
-  let* handoffs = Option.bind (J.member "handoffs" j) J.to_int in
-  let* instruments =
-    Option.bind (J.member "instruments" j) Wfs_obs.Instruments.of_json
-  in
-  let* chaos =
-    match J.member "chaos" j with
-    | None -> Some None
-    | Some c -> Option.map Option.some (Wfs_obs.Instruments.of_json c)
-  in
-  let* timeline =
-    match J.member "timeline" j with
-    | None -> Some []
-    | Some tl ->
-        Option.bind (J.to_list tl) (fun events ->
-            List.fold_right
-              (fun e acc ->
-                match (Wfs_chaos.Chaos.event_of_json e, acc) with
-                | Some ev, Some tl -> Some (ev :: tl)
-                | _ -> None)
-              events (Some []))
-  in
-  Some
-    {
-      t_metrics = metrics;
-      t_homes = Array.of_list homes;
-      t_n_cells = n_cells;
-      t_handoffs = handoffs;
-      t_instruments = instruments;
-      t_chaos = chaos;
-      t_timeline = timeline;
-    }
-
-let topo_params_equal a b =
-  let module J = Wfs_util.Json in
-  let norm l =
-    List.sort (fun (k, _) (k', _) -> String.compare k k') l
-    |> List.map (fun (k, v) -> (k, J.to_string ~pretty:false v))
-  in
-  List.equal
-    (fun (k, v) (k', v') -> String.equal k k' && String.equal v v')
-    (norm a) (norm b)
-
-(* Multi-cell runs go through Wfs_topo.Topology instead of the replica
+(* Multi-cell runs go through Wfs_topo.Topo_run instead of the replica
    pool: cells shard over the domain pool inside one run, handoffs apply
    at epoch barriers, and the rendered table is global-flow-id indexed
-   with a home-cell column.  Byte-identical for every --jobs value.
-
-   Specs are crash-isolated like the replica pool's runs: a spec that
-   fails (worker-fault budget exceeded, invariant violation) loses only
-   its own rows — the typed errors land in a stderr failure table and the
-   process exits 3.  With --resume, completed specs replay from the topo
-   journal and an interrupted spec is re-run with every already-journaled
-   barrier snapshot verified against the replay. *)
+   with a home-cell column.  Byte-identical for every --jobs value.  A
+   spec that fails loses only its own rows. *)
 let render_topo ~title ~output ~jobs ~credit ~debit ~invariants ~fast_path
-    ~metrics_out ~resume ~fault_timeline ~trace_out ~trace_csv ~trace_stride
-    ~causality_out ~windows_out ~window_slots labeled_specs =
-  let module J = Wfs_util.Json in
-  let module TJ = Wfs_topo.Topo_journal in
-  let observing =
-    trace_out <> None || trace_csv <> None || causality_out <> None
-    || windows_out <> None
+    ~metrics_out ~resume ~fault_timeline ~artifacts labeled_specs =
+  let outcomes =
+    Wfs_topo.Topo_run.run ~credit_limit:credit ~debit_limit:debit ~invariants
+      ~fast_path ~artifacts ?resume ?fault_timeline ~jobs
+      (List.map snd labeled_specs)
   in
-  if observing && List.length labeled_specs <> 1 then begin
-    Printf.eprintf
-      "wfs_sim: --trace-out/--trace-csv/--causality/--windows need exactly \
-       one topology run (one algorithm, one spec); got %d runs\n"
-      (List.length labeled_specs);
-    exit 2
-  end;
-  let columns =
-    [
-      "algorithm"; "flow"; "cell"; "mean_delay"; "loss"; "max_delay"; "stddev";
-      "thpt";
-    ]
+  let runs, failures =
+    List.partition_map
+      (fun ((label, sp), outcome) ->
+        match outcome with
+        | Ok r -> Left (label, sp, r)
+        | Error e -> Right (Spec.to_string sp, e))
+      (List.combine labeled_specs outcomes)
   in
-  let table = T.create ~title ~columns in
-  let csv_rows = ref [] in
-  let emit cells =
-    match output with
-    | Table -> T.add_row table cells
-    | Csv -> csv_rows := String.concat "," cells :: !csv_rows
+  let rows =
+    List.concat_map
+      (fun (label, (sp : Spec.t), (r : Wfs_topo.Topo_run.t)) ->
+        (* Spec labels may carry the topology clause's commas: quote them
+           so the CSV stays parseable. *)
+        let label =
+          if output = Csv && String.contains label ',' then "\"" ^ label ^ "\""
+          else label
+        in
+        let m = r.metrics in
+        List.init (M.n_flows m) (fun gid ->
+            [
+              label;
+              string_of_int gid;
+              string_of_int r.homes.(gid);
+              T.cell_of_float (M.mean_delay m ~flow:gid);
+              T.cell_of_float ~decimals:4 (M.loss m ~flow:gid);
+              T.cell_of_float (M.max_delay m ~flow:gid);
+              T.cell_of_float (M.stddev_delay m ~flow:gid);
+              T.cell_of_float ~decimals:4
+                (M.throughput m ~flow:gid ~slots:sp.horizon);
+            ]))
+      runs
   in
-  let params =
-    [
-      ("credit", J.Int credit);
-      ("debit", J.Int debit);
-      ("invariants", J.Bool invariants);
-      ("fast_path", J.Bool fast_path);
-    ]
-  in
-  let journal =
-    match resume with
-    | None -> None
-    | Some path ->
-        if Sys.file_exists path then (
-          match TJ.load ~path with
-          | Error e -> Wfs_util.Error.raise_ e
-          | Ok contents ->
-              if not (topo_params_equal contents.TJ.params params) then
-                Wfs_util.Error.bad_spec ~who:"wfs_sim"
-                  "topo journal was written for different settings"
-                  ~context:
-                    [
-                      ("path", path);
-                      ( "journal",
-                        J.to_string ~pretty:false (J.Obj contents.TJ.params) );
-                      ("run", J.to_string ~pretty:false (J.Obj params));
-                    ];
-              Some (contents, TJ.reopen ~path))
-        else
-          Some
-            ( { TJ.params; snapshots = []; results = [] },
-              TJ.create ~path ~params )
-  in
-  let failures = ref [] in
-  let runs = ref [] in
-  List.iter
-    (fun (label, (sp : Spec.t)) ->
-      let key = Spec.to_string sp in
-      let replayed =
-        Option.bind journal (fun (c, _) -> TJ.find_result c ~spec:key)
+  print_rows ~output ~title
+    ~columns:
+      [
+        "algorithm"; "flow"; "cell"; "mean_delay"; "loss"; "max_delay";
+        "stddev"; "thpt";
+      ]
+    rows;
+  (match (metrics_out, runs) with
+  | None, _ | Some _, [] -> ()  (* every spec failed; see the failure table *)
+  | Some path, ((_, first, _) :: _ as runs) ->
+      let results = List.map (fun (_, _, r) -> r) runs in
+      (* Chaos telemetry rides along as a second table only when some spec
+         ran with an active fault plan, so zero-fault artifacts stay
+         byte-identical to pre-chaos ones. *)
+      let chaos =
+        match
+          List.filter_map (fun (r : Wfs_topo.Topo_run.t) -> r.chaos) results
+        with
+        | [] -> []
+        | regs -> [ instrument_table ~title:"chaos instruments" regs ]
       in
-      match replayed with
-      | Some payload -> (
-          match topo_run_of_json payload with
-          | Some r -> runs := (label, sp, r) :: !runs
-          | None ->
-              Wfs_util.Error.bad_spec ~who:"wfs_sim"
-                "unreadable topo-journal result" ~context:[ ("spec", key) ])
-      | None -> (
-          (* Per-cell tracing: each cell's probe writes to that cell's own
-             part file during the parallel phase; rosters and causality
-             events are recorded only from the sequential barrier.  The
-             merge after the run is positional, so traced topology runs
-             need no --jobs restriction. *)
-          let mux =
-            if trace_out = None && trace_csv = None then None
-            else
-              let cells =
-                match sp.Spec.topo with Some tp -> tp.Spec.cells | None -> 1
-              in
-              let part_base =
-                match trace_out with
-                | Some p -> p
-                | None -> Option.get trace_csv
-              in
-              Some
-                (Wfs_xray.Mux.create ~stride:trace_stride
-                   ~params:
-                     [
-                       ("sched", J.Str sp.Spec.sched);
-                       ("seed", J.Int sp.Spec.seed);
-                       ("horizon", J.Int sp.Spec.horizon);
-                     ]
-                   ~cells ~part_base ())
-          in
-          let cause =
-            Option.map (fun _ -> Wfs_xray.Causality.create ()) causality_out
-          in
-          let tap =
-            match (mux, cause) with
-            | None, None -> None
-            | _ ->
-                Some
-                  {
-                    Wfs_topo.Cell.on_roster =
-                      (fun ~cell ~slot ~gids ->
-                        match mux with
-                        | Some m -> Wfs_xray.Mux.note_roster m ~cell ~slot ~gids
-                        | None -> ());
-                    probe =
-                      (fun ~cell ~n_flows sched ->
-                        Option.map
-                          (fun m -> Wfs_xray.Mux.probe m ~cell ~n_flows sched)
-                          mux);
-                    on_carry =
-                      (fun ~cell ~slot ~gid ~carried ~accepted ->
-                        match cause with
-                        | Some c ->
-                            Wfs_xray.Causality.record c
-                              (Wfs_xray.Causality.Carry
-                                 { slot; flow = gid; cell; carried; accepted })
-                        | None -> ());
-                  }
-          in
-          match
-            let t =
-              Wfs_topo.Topology.of_spec ~credit_limit:credit
-                ~debit_limit:debit ~invariants ~fast_path ?tap
-                ?causality:cause sp
-            in
-            let journal_cb =
-              Option.map
-                (fun (contents, w) ~slot ->
-                  let snap = Wfs_topo.Topology.snapshot t ~slot in
-                  match TJ.find_snapshot contents ~spec:key ~slot with
-                  | Some recorded ->
-                      if
-                        not
-                          (String.equal
-                             (J.to_string ~pretty:false snap)
-                             (J.to_string ~pretty:false recorded))
-                      then
-                        Wfs_util.Error.bad_spec ~who:"wfs_sim"
-                          "topo journal diverges from replay"
-                          ~context:
-                            [
-                              ("spec", key);
-                              ("slot", string_of_int slot);
-                              ("journal", J.to_string ~pretty:false recorded);
-                              ("replay", J.to_string ~pretty:false snap);
-                            ]
-                  | None -> TJ.append_snapshot w ~spec:key ~slot snap)
-                journal
-            in
-            (* Windowed aggregation samples the cumulative picture at each
-               barrier — the fast path stays compressed, and [start_slot]/
-               [end_slot] record the span the sampling actually covered. *)
-            let wcoll =
-              Option.map
-                (fun _ ->
-                  Wfs_xray.Windowed.create
-                    ~weights:(Wfs_topo.Topology.weights t)
-                    ~window:window_slots)
-                windows_out
-            in
-            let on_barrier =
-              match (journal_cb, wcoll) with
-              | None, None -> None
-              | jc, wc ->
-                  Some
-                    (fun ~slot ->
-                      (match jc with Some f -> f ~slot | None -> ());
-                      match wc with
-                      | Some w ->
-                          Wfs_xray.Windowed.observe w ~slot:(slot - 1)
-                            ~metrics:(Wfs_topo.Topology.peek_metrics t)
-                      | None -> ())
-            in
-            Wfs_topo.Topology.run ~jobs ?on_barrier t;
-            let r =
-              {
-                t_metrics = Wfs_topo.Topology.metrics t;
-                t_homes = Wfs_topo.Topology.homes t;
-                t_n_cells = Wfs_topo.Topology.n_cells t;
-                t_handoffs = Wfs_topo.Topology.handoffs t;
-                t_instruments = Wfs_topo.Topology.instruments t;
-                t_chaos = Wfs_topo.Topology.chaos_instruments t;
-                t_timeline = Wfs_topo.Topology.fault_timeline t;
-              }
-            in
-            (match wcoll with
-            | Some w ->
-                Wfs_xray.Windowed.flush w ~slot:(sp.Spec.horizon - 1)
-                  ~metrics:r.t_metrics;
-                Wfs_xray.Windowed.write
-                  ~path:(Option.get windows_out)
-                  ~window:window_slots
-                  (Wfs_xray.Windowed.windows w)
-            | None -> ());
-            (match cause with
-            | Some c ->
-                Wfs_xray.Causality.write
-                  ~path:(Option.get causality_out)
-                  (Wfs_xray.Causality.events c)
-            | None -> ());
-            (match mux with
-            | Some m ->
-                Wfs_xray.Mux.finish m
-                  ~n_flows:(Wfs_topo.Topology.n_flows t)
-                  ?jsonl:trace_out ?csv:trace_csv ()
-            | None -> ());
-            Option.iter
-              (fun (_, w) ->
-                TJ.append_result w ~spec:key (topo_run_to_json r))
-              journal;
-            r
-          with
-          | r -> runs := (label, sp, r) :: !runs
-          | exception Wfs_util.Error.Error e ->
-              Option.iter Wfs_xray.Mux.abort mux;
-              failures := (key, e) :: !failures))
-    labeled_specs;
-  Option.iter (fun (_, w) -> TJ.close w) journal;
-  let runs = List.rev !runs in
-  let total_slots = ref 0 in
-  List.iter
-    (fun (label, (sp : Spec.t), r) ->
-      (* Spec labels may carry the topology clause's commas: quote them so
-         the CSV stays parseable. *)
-      let label =
-        if output = Csv && String.contains label ',' then "\"" ^ label ^ "\""
-        else label
-      in
-      let m = r.t_metrics in
-      total_slots := !total_slots + (sp.Spec.horizon * r.t_n_cells);
-      for gid = 0 to M.n_flows m - 1 do
-        emit
-          [
-            label;
-            string_of_int gid;
-            string_of_int r.t_homes.(gid);
-            T.cell_of_float (M.mean_delay m ~flow:gid);
-            T.cell_of_float ~decimals:4 (M.loss m ~flow:gid);
-            T.cell_of_float (M.max_delay m ~flow:gid);
-            T.cell_of_float (M.stddev_delay m ~flow:gid);
-            T.cell_of_float ~decimals:4
-              (M.throughput m ~flow:gid ~slots:sp.Spec.horizon);
-          ]
-      done)
-    runs;
-  (match output with
-  | Table -> T.print table
-  | Csv ->
-      print_endline (String.concat "," columns);
-      List.iter print_endline (List.rev !csv_rows));
-  Option.iter
-    (fun path ->
-      Wfs_chaos.Chaos.write_timeline ~path
-        (List.map (fun (_, sp, r) -> (Spec.to_string sp, r.t_timeline)) runs))
-    fault_timeline;
-  (match metrics_out with
-  | None -> ()
-  | Some path -> (
-      match runs with
-      | [] -> ()  (* every spec failed; the failure table tells the story *)
-      | runs ->
-          let merged =
-            Wfs_obs.Instruments.merge_all
-              (List.map (fun (_, _, r) -> r.t_instruments) runs)
-          in
-          let t =
-            Wfs_obs.Instruments.to_table ~title:"topology instruments" merged
-          in
-          let tables =
-            ref
-              [
-                {
-                  Wfs_runner.Artifact.title = T.title t;
-                  columns = T.columns t;
-                  rows = T.rows t;
-                };
-              ]
-          in
-          (* Chaos telemetry rides along as a second table — only when
-             some spec actually ran with an active fault plan, so
-             zero-fault artifacts stay byte-identical to pre-chaos
-             ones. *)
-          (match List.filter_map (fun (_, _, r) -> r.t_chaos) runs with
-          | [] -> ()
-          | chaos_regs ->
-              let ct =
-                Wfs_obs.Instruments.to_table ~title:"chaos instruments"
-                  (Wfs_obs.Instruments.merge_all chaos_regs)
-              in
-              tables :=
-                !tables
-                @ [
-                    {
-                      Wfs_runner.Artifact.title = T.title ct;
-                      columns = T.columns ct;
-                      rows = T.rows ct;
-                    };
-                  ]);
-          let sp0 =
-            match runs with (_, sp, _) :: _ -> sp | [] -> assert false
-          in
-          (* jobs normalised to 1 so the artifact is byte-identical for
-             every --jobs value, same convention as the replica-pool
-             path. *)
-          let art =
-            Wfs_runner.Artifact.v ~horizon:sp0.Spec.horizon
-              ~seed:sp0.Spec.seed ~seeds:1 ~jobs:1 ~runs:(List.length runs)
-              ~slots:!total_slots ~wall_clock_s:0. ~tables:!tables
-          in
-          Wfs_runner.Artifact.write ~path art));
-  match List.rev !failures with
-  | [] -> ()
-  | failures ->
-      (* stderr, so piped --csv output stays parseable *)
-      Printf.eprintf "\n=== Failed topology runs (%d) ===\n"
-        (List.length failures);
-      List.iter
-        (fun (key, e) ->
-          Printf.eprintf "  %s\n    %s\n" key (Wfs_util.Error.to_string e))
-        failures;
-      exit 3
+      write_metrics ~path ~first ~seeds:1 ~runs:(List.length runs)
+        ~slots:
+          (List.fold_left
+             (fun acc (_, (sp : Spec.t), (r : Wfs_topo.Topo_run.t)) ->
+               acc + (sp.horizon * r.n_cells))
+             0 runs)
+        (instrument_table ~title:"topology instruments"
+           (List.map (fun (r : Wfs_topo.Topo_run.t) -> r.instruments) results)
+        :: chaos));
+  report_failures "Failed topology runs" failures
 
 let title_info ~seeds ~seed ~horizon =
   if seeds > 1 then
@@ -888,41 +429,25 @@ let check_metrics path =
       Printf.eprintf "wfs_sim: %s: %s\n" path msg;
       exit 2
 
+let at_least flag min = function
+  | Some n when n < min -> usage "%s must be >= %d, got %d" flag min n
+  | _ -> ()
+
 let main_checked example seed horizon sum credit debit csv fairness algo info
     scenario specs seeds jobs list retries max_slots invariants fast_path
     metrics_out trace_out trace_csv trace_stride profile flight_recorder cells
     mobility epoch faults resume fault_timeline causality windows window_slots
-    check_trace_path check_metrics_path =
+    check_trace_path check_metrics_path () =
   (match check_trace_path with Some p -> check_trace p | None -> ());
   (match check_metrics_path with Some p -> check_metrics p | None -> ());
   let output = if csv then Csv else Table in
-  if seeds < 1 then (
-    Printf.eprintf "wfs_sim: --seeds must be >= 1, got %d\n" seeds;
-    exit 2);
-  if retries < 0 then (
-    Printf.eprintf "wfs_sim: --retries must be >= 0, got %d\n" retries;
-    exit 2);
-  (match jobs with
-  | Some n when n < 1 ->
-      Printf.eprintf "wfs_sim: --jobs must be >= 1, got %d\n" n;
-      exit 2
-  | _ -> ());
-  (match max_slots with
-  | Some n when n < 1 ->
-      Printf.eprintf "wfs_sim: --max-slots must be >= 1, got %d\n" n;
-      exit 2
-  | _ -> ());
-  if trace_stride < 1 then (
-    Printf.eprintf "wfs_sim: --trace-stride must be >= 1, got %d\n" trace_stride;
-    exit 2);
-  if window_slots < 1 then (
-    Printf.eprintf "wfs_sim: --window-slots must be >= 1, got %d\n" window_slots;
-    exit 2);
-  (match flight_recorder with
-  | Some n when n < 1 ->
-      Printf.eprintf "wfs_sim: --flight-recorder must be >= 1, got %d\n" n;
-      exit 2
-  | _ -> ());
+  at_least "--seeds" 1 (Some seeds);
+  at_least "--retries" 0 (Some retries);
+  at_least "--jobs" 1 jobs;
+  at_least "--max-slots" 1 max_slots;
+  at_least "--trace-stride" 1 (Some trace_stride);
+  at_least "--window-slots" 1 (Some window_slots);
+  at_least "--flight-recorder" 1 flight_recorder;
   let jobs =
     match jobs with Some n -> n | None -> Wfs_runner.Pool.default_jobs ()
   in
@@ -952,9 +477,7 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
       | Some s -> (
           match Spec.faults_of_string s with
           | Ok p -> Some p
-          | Error msg ->
-              Printf.eprintf "wfs_sim: --faults: %s\n" msg;
-              exit 2)
+          | Error msg -> usage "--faults: %s" msg)
     in
     let topo_clause =
       if cells > 1 then
@@ -964,16 +487,17 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
           | Some p -> Spec.with_faults p tp
           | None -> tp)
       else begin
-        (match fault_plan with
-        | Some _ ->
-            Printf.eprintf
-              "wfs_sim: --faults needs a multi-cell run (--cells > 1); give \
-               --spec its own faults=... field instead\n";
-            exit 2
-        | None -> ());
+        if fault_plan <> None then
+          usage
+            "--faults needs a multi-cell run (--cells > 1); give --spec its \
+             own faults=... field instead";
         None
       end
     in
+    if sum <> None && (specs <> [] || scenario <> None || example > 2) then
+      usage
+        "-b/--burstiness applies to examples 1-2 only (not to --spec, \
+         --scenario or -e 3..6)";
     let title, flow_base, labeled =
       if specs <> [] then
         (* Explicit run specs: each is its own experiment id. *)
@@ -1002,7 +526,11 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
               labeled )
         | None ->
             let scn =
-              Spec.example ?sum:(if example <= 2 then Some sum else None) example
+              Spec.example
+                ?sum:
+                  (if example <= 2 then Some (Option.value sum ~default:0.1)
+                   else None)
+                example
             in
             let seed = Option.value seed ~default:Spec.default_seed
             and horizon = Option.value horizon ~default:Spec.default_horizon in
@@ -1022,74 +550,65 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
       | Some tp when specs = [] ->
           List.map (fun (l, sp) -> (l, Spec.with_topo tp sp)) labeled
       | Some _ ->
-          Printf.eprintf
-            "wfs_sim: --cells applies to -e/--scenario runs; give --spec its \
-             own topology clause (cells=K,mobility=R,epoch=E)\n";
-          exit 2
+          usage
+            "--cells applies to -e/--scenario runs; give --spec its own \
+             topology clause (cells=K,mobility=R,epoch=E)"
     in
     let topo_runs, plain =
       List.partition (fun (_, sp) -> sp.Spec.topo <> None) labeled
     in
     match topo_runs with
     | [] ->
-        if resume <> None || fault_timeline <> None then begin
-          Printf.eprintf
-            "wfs_sim: --resume/--fault-timeline apply to topology runs only \
-             (--cells > 1 or a spec with a topology clause)\n";
-          exit 2
-        end;
-        if causality <> None then begin
-          Printf.eprintf
-            "wfs_sim: --causality applies to topology runs only (--cells > 1 \
-             or a spec with a topology clause)\n";
-          exit 2
-        end;
+        if resume <> None || fault_timeline <> None then
+          usage
+            "--resume/--fault-timeline apply to topology runs only (--cells \
+             > 1 or a spec with a topology clause)";
+        if causality <> None then
+          usage
+            "--causality applies to topology runs only (--cells > 1 or a \
+             spec with a topology clause)";
         render ~title ~flow_base plain
     | _ ->
-        if plain <> [] then begin
-          Printf.eprintf
-            "wfs_sim: cannot mix topology and single-cell runs in one \
-             invocation\n";
-          exit 2
-        end;
-        if seeds <> 1 then begin
-          Printf.eprintf "wfs_sim: topology runs support --seeds 1 only\n";
-          exit 2
-        end;
-        if fairness || profile || flight_recorder <> None || max_slots <> None
-        then begin
-          Printf.eprintf
-            "wfs_sim: --fairness/--profile/--flight-recorder/--max-slots are \
-             not supported for topology runs\n";
-          exit 2
-        end;
+        if plain <> [] then
+          usage "cannot mix topology and single-cell runs in one invocation";
+        if seeds <> 1 then usage "topology runs support --seeds 1 only";
+        if
+          fairness || profile || flight_recorder <> None || max_slots <> None
+          || retries > 0
+        then
+          usage
+            "--fairness/--profile/--flight-recorder/--max-slots/--retries are \
+             not supported for topology runs";
+        let observing =
+          trace_out <> None || trace_csv <> None || causality <> None
+          || windows <> None
+        in
+        if observing && List.length topo_runs <> 1 then
+          usage
+            "--trace-out/--trace-csv/--causality/--windows need exactly one \
+             topology run (one algorithm, one spec); got %d runs"
+            (List.length topo_runs);
         render_topo ~title ~output ~jobs ~credit ~debit ~invariants
-          ~fast_path ~metrics_out ~resume ~fault_timeline ~trace_out
-          ~trace_csv ~trace_stride ~causality_out:causality
-          ~windows_out:windows ~window_slots topo_runs
+          ~fast_path ~metrics_out ~resume ~fault_timeline
+          ~artifacts:
+            {
+              Wfs_topo.Topo_run.trace_out;
+              trace_csv;
+              trace_stride;
+              causality;
+              windows;
+              window_slots;
+            }
+          topo_runs
   end
 
 (* Bad scheduler names, malformed specs and out-of-range examples all raise
    Invalid_argument (or a typed Bad_spec error) with a helpful message —
    turn them into a clean exit. *)
-let main example seed horizon sum credit debit csv fairness algo info scenario
-    specs seeds jobs list retries max_slots invariants fast_path metrics_out
-    trace_out trace_csv trace_stride profile flight_recorder cells mobility
-    epoch faults resume fault_timeline causality windows window_slots
-    check_trace_path check_metrics_path =
-  try
-    main_checked example seed horizon sum credit debit csv fairness algo info
-      scenario specs seeds jobs list retries max_slots invariants fast_path
-      metrics_out trace_out trace_csv trace_stride profile flight_recorder
-      cells mobility epoch faults resume fault_timeline causality windows
-      window_slots check_trace_path check_metrics_path
-  with
-  | Invalid_argument msg ->
-      Printf.eprintf "wfs_sim: %s\n" msg;
-      exit 2
-  | Wfs_util.Error.Error e ->
-      Printf.eprintf "wfs_sim: %s\n" (Wfs_util.Error.to_string e);
-      exit 2
+let main run =
+  try run () with
+  | Invalid_argument msg -> usage "%s" msg
+  | Wfs_util.Error.Error e -> usage "%s" (Wfs_util.Error.to_string e)
 
 open Cmdliner
 
@@ -1118,9 +637,12 @@ let horizon_arg =
 
 let sum_arg =
   Arg.(
-    value & opt float 0.1
-    & info [ "b"; "burstiness" ]
-        ~doc:"pg+pe for examples 1-2 (0.1 bursty ... 1.0 memoryless).")
+    value
+    & opt (some float) None
+    & info [ "b"; "burstiness" ] ~absent:"0.1"
+        ~doc:
+          "pg+pe for examples 1-2 (0.1 bursty ... 1.0 memoryless); rejected \
+           for any other run.")
 
 let credit_arg =
   Arg.(value & opt int 4 & info [ "credit" ] ~doc:"Credit cap (WPS variants).")
@@ -1195,8 +717,9 @@ let retries_arg =
     value & opt int 0
     & info [ "retries" ]
         ~doc:
-          "Extra attempts per failed run (same RNG stream, so a retry that \
-           succeeds is byte-identical to a first-attempt success).")
+          "Extra attempts per failed single-cell run (same RNG stream, so a \
+           retry that succeeds is byte-identical to a first-attempt \
+           success); rejected for topology runs.")
 
 let max_slots_arg =
   Arg.(
@@ -1402,14 +925,15 @@ let cmd =
   Cmd.v
     (Cmd.info "wfs_sim" ~doc)
     Term.(
-      const main $ example_arg $ seed_arg $ horizon_arg $ sum_arg $ credit_arg
-      $ debit_arg $ csv_arg $ fairness_arg $ algo_arg $ info_arg $ scenario_arg
-      $ spec_arg $ seeds_arg $ jobs_arg $ list_arg $ retries_arg
-      $ max_slots_arg $ invariants_arg $ fast_path_arg $ metrics_out_arg
-      $ trace_out_arg
-      $ trace_csv_arg $ trace_stride_arg $ profile_arg $ flight_recorder_arg
-      $ cells_arg $ mobility_arg $ epoch_arg $ faults_arg $ resume_arg
-      $ fault_timeline_arg $ causality_arg $ windows_arg $ window_slots_arg
-      $ check_trace_arg $ check_metrics_arg)
+      const main
+      $ (const main_checked $ example_arg $ seed_arg $ horizon_arg $ sum_arg
+        $ credit_arg $ debit_arg $ csv_arg $ fairness_arg $ algo_arg $ info_arg
+        $ scenario_arg $ spec_arg $ seeds_arg $ jobs_arg $ list_arg
+        $ retries_arg $ max_slots_arg $ invariants_arg $ fast_path_arg
+        $ metrics_out_arg $ trace_out_arg $ trace_csv_arg $ trace_stride_arg
+        $ profile_arg $ flight_recorder_arg $ cells_arg $ mobility_arg
+        $ epoch_arg $ faults_arg $ resume_arg $ fault_timeline_arg
+        $ causality_arg $ windows_arg $ window_slots_arg $ check_trace_arg
+        $ check_metrics_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -6,6 +6,10 @@ type table = {
   rows : string list list;
 }
 
+let table_of t =
+  let module T = Wfs_util.Tablefmt in
+  { title = T.title t; columns = T.columns t; rows = T.rows t }
+
 type t = {
   schema : string;
   horizon : int;

@@ -18,6 +18,10 @@ type table = {
   rows : string list list;  (** rendered cells, row-major *)
 }
 
+val table_of : Wfs_util.Tablefmt.t -> table
+(** A rendered table's title, columns and rows, as the artifact stores
+    them. *)
+
 type t = {
   schema : string;  (** {!schema_version} *)
   horizon : int;

@@ -33,9 +33,11 @@ let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
   let setups = setups_of spec in
   let flows = Core.Presets.flows_of setups in
   let sched = entry.Core.Registry.make ?credit_limit ?debit_limit ?limits flows in
-  (* The scheduler instance exists only here, so telemetry probes arrive as
-     builders: the caller says how to probe, this function says what. *)
+  (* The scheduler instance exists only here, so probes and observers
+     arrive as builders: the caller says how to watch, this function says
+     what. *)
   let slot_probe = Option.map (fun build -> build sched) probe in
+  let observer = Option.map (fun build -> build sched) observer in
   Core.Simulator.run
     (Core.Simulator.config ~predictor:entry.Core.Registry.predictor ?observer
        ?trace ?slot_probe ?profiler ?histograms ?invariants ?fast_path
@@ -114,17 +116,15 @@ let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
                (spec_context @ recorder_context ())
                (Error.of_exn ~who:"Exec.run_outcome" ~backtrace exn)))
 
-let run_all ~jobs ?credit_limit ?debit_limit ?limits specs =
-  Pool.map ~jobs (fun spec -> run ?credit_limit ?debit_limit ?limits spec) specs
-
-let replicate ~jobs ~seeds (spec : Spec.t) =
+let replicas ~jobs ?retries ~seeds run specs =
   if seeds < 1 then
-    Wfs_util.Error.invalidf "Exec.replicate" "seeds must be >= 1, got %d"
-      seeds;
-  run_all ~jobs
-    (Array.init seeds (fun k -> Spec.with_seed (spec.seed + k) spec))
-
-let summarize metric results =
-  let s = Wfs_util.Stats.Summary.create () in
-  Array.iter (fun m -> Wfs_util.Stats.Summary.add s (metric m)) results;
-  s
+    Wfs_util.Error.invalidf "Exec.replicas" "seeds must be >= 1, got %d" seeds;
+  let units =
+    Array.of_list
+      (List.concat_map
+         (fun (sp : Spec.t) ->
+           List.init seeds (fun k -> Spec.with_seed (sp.seed + k) sp))
+         specs)
+  in
+  let outcomes = Pool.map_outcomes ~jobs ?retries run units in
+  List.mapi (fun i _ -> Array.sub outcomes (i * seeds) seeds) specs

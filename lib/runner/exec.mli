@@ -4,22 +4,23 @@
     through {!Wfs_core.Registry}, building the scenario's seeded flow
     setups, and driving {!Wfs_core.Simulator}.  Every run is
     self-contained — all RNG streams are split from the spec's own seed —
-    so {!run_all} can execute any number of specs on a {!Pool} of domains
-    and the merged result array is byte-identical for any [jobs] count and
-    any execution order. *)
+    so {!replicas} can execute any number of specs on a {!Pool} of domains
+    and the merged result arrays are byte-identical for any [jobs] count
+    and any execution order. *)
 
 val setups_of : Spec.t -> Wfs_core.Simulator.flow_setup array
 (** The spec's seeded flow setups (source/channel streams split from the
     spec seed), freshly built — sources and channels are stateful, so each
-    run needs its own.  Exposed for drivers that assemble a custom
-    {!Wfs_core.Simulator.config} (e.g. to attach a fairness monitor).
+    run needs its own.  Exposed for drivers that need the flows without a
+    run (a trace header's flow count, fairness weights).
     @raise Wfs_core.Scenario.Parse_error / [Sys_error] on a bad file *)
 
 val run :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
+  ?observer:
+    (Wfs_core.Wireless_sched.instance -> int -> Wfs_core.Metrics.t -> unit) ->
   ?trace:Wfs_sim.Tracelog.t ->
   ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
@@ -30,14 +31,15 @@ val run :
   Spec.t ->
   Wfs_core.Metrics.t
 (** Run one spec to completion in the calling domain.  The optional
-    scheduler knobs are forwarded to the registry constructor; [observer],
+    scheduler knobs are forwarded to the registry constructor;
     [histograms], [invariants], [fast_path] and [skip_stats] to
     {!Wfs_core.Simulator.config} ([skip_stats] records fast-path skip
     telemetry without degenerating the compressed engine).
-    [probe] is a {e builder}: the scheduler instance only exists inside
-    this call, so the caller passes a function from instance to slot probe
-    (e.g. [Wfs_obs.Probe.create ~n_flows]) and it is invoked once, after
-    scheduler construction.  For a
+    [probe] and [observer] are {e builders}: the scheduler instance only
+    exists inside this call, so the caller passes a function from instance
+    to slot probe (e.g. [Wfs_obs.Probe.create ~n_flows]) or per-slot
+    observer (e.g. a [Wfs_core.Fairness.Monitor]'s) and each is invoked
+    once, after scheduler construction.  For a
     [File] scenario the spec's seed/horizon override the file's
     directives, and the scheduler entry's predictor overrides the file's
     [predictor] line (the registry name states the channel knowledge,
@@ -54,7 +56,8 @@ val run_outcome :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
+  ?observer:
+    (Wfs_core.Wireless_sched.instance -> int -> Wfs_core.Metrics.t -> unit) ->
   ?trace:Wfs_sim.Tracelog.t ->
   ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
@@ -91,27 +94,23 @@ val flight_context : Wfs_sim.Tracelog.t -> (string * string) list
 (** The context fields a flight recorder contributes to an error:
     [flight-recorder-events] (entries retained) and [flight-recorder] (the
     entries rendered ["s<slot> <event>"], ["|"]-separated).  Exposed for
-    drivers that manage their own recorder (e.g. the CLI's fairness path,
-    which builds its scheduler outside {!run}). *)
+    drivers that manage their own recorder (e.g. [wfs_mac], whose runs do
+    not go through {!run}). *)
 
-val run_all :
+val replicas :
   jobs:int ->
-  ?credit_limit:int ->
-  ?debit_limit:int ->
-  ?limits:(int * int) array ->
-  Spec.t array ->
-  Wfs_core.Metrics.t array
-(** {!run} every spec on up to [jobs] domains; result [i] belongs to spec
-    [i] regardless of scheduling. *)
-
-val replicate : jobs:int -> seeds:int -> Spec.t -> Wfs_core.Metrics.t array
-(** Multi-seed replication: run [seeds] copies of the spec with seeds
-    [spec.seed, spec.seed + 1, ..., spec.seed + seeds - 1] in parallel.
-    @raise Invalid_argument when [seeds < 1]. *)
-
-val summarize :
-  (Wfs_core.Metrics.t -> float) ->
-  Wfs_core.Metrics.t array ->
-  Wfs_util.Stats.Summary.t
-(** Fold one scalar metric across replications into a summary (mean,
-    stddev, {!Wfs_util.Stats.Summary.ci95}, ...). *)
+  ?retries:int ->
+  seeds:int ->
+  (Spec.t -> 'a Pool.outcome) ->
+  Spec.t list ->
+  'a Pool.outcome array list
+(** [replicas ~jobs ~seeds run specs] executes [seeds] replicas of every
+    spec — seeds [spec.seed], [spec.seed + 1], ..., [spec.seed + seeds - 1]
+    — crash-isolated on up to [jobs] domains ({!Pool.map_outcomes}, with
+    its [retries]).  The result holds one array per spec, in input order,
+    with replica [k] at index [k], byte-identical for any [jobs] and any
+    completion order.  [run] is usually a partial application of
+    {!run_outcome}; it is called once per attempt, so it may build
+    per-replica state (observers, instrument registries) and return it
+    with the metrics.
+    @raise Invalid_argument when [seeds < 1] or [retries < 0]. *)

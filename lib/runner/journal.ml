@@ -40,3 +40,27 @@ let load ?(schema = schema) ~path () =
     ~header:(fun params -> Some params)
     ~line:(fun _ v -> Jsonl.decoded (entry_of_json v))
   |> Result.map (fun (params, entries) -> { params; entries })
+
+let resume ?(schema = schema) ~who ~path ~params () =
+  if not (Sys.file_exists path) then
+    (create ~schema ~path ~params (), { params; entries = [] })
+  else
+    match load ~schema ~path () with
+    | Error e -> Wfs_util.Error.raise_ e
+    | Ok contents ->
+        let norm l =
+          List.sort (fun (k, _) (k', _) -> String.compare k k') l
+          |> List.map (fun (k, v) -> (k, Json.to_string ~pretty:false v))
+        in
+        let same (k, v) (k', v') = String.equal k k' && String.equal v v' in
+        if not (List.equal same (norm contents.params) (norm params)) then
+          Wfs_util.Error.bad_spec ~who
+            "journal was written for different settings"
+            ~context:
+              [
+                ("path", path);
+                ( "journal",
+                  Json.to_string ~pretty:false (Json.Obj contents.params) );
+                ("run", Json.to_string ~pretty:false (Json.Obj params));
+              ];
+        (reopen ~path, contents)

@@ -58,3 +58,21 @@ val load :
 (** Read a journal back under {!Wfs_util.Jsonl.load}, requiring its
     header schema to equal [schema] (default {!schema}).  A line is an
     entry when it has a string [key] and a [value]. *)
+
+val resume :
+  ?schema:string ->
+  who:string ->
+  path:string ->
+  params:(string * Wfs_util.Json.t) list ->
+  unit ->
+  writer * contents
+(** Open a journal for a resumable run.  When [path] does not exist it is
+    {!create}d with [params] and the contents are empty.  Otherwise it is
+    {!load}ed under [schema], its header params must equal [params] (key
+    order ignored, values compared as compact JSON), and it is
+    {!reopen}ed for appending; the loaded contents come back with the
+    writer.
+    @raise Wfs_util.Error.Error on a load failure, or (kind [Bad_spec],
+    the caller's [who]) ["journal was written for different settings"]
+    with [path], [journal] and [run] context when the params differ —
+    resuming over it could resurrect results from another run. *)

@@ -3,20 +3,8 @@ module Error = Wfs_util.Error
 module Json = Wfs_util.Json
 
 let schema = "wfs-bench/1-topo-journal"
-
-type writer = Journal.writer
-
-let create ~path ~params = Journal.create ~schema ~path ~params ()
-let reopen ~path = Journal.reopen ~path
-let close = Journal.close
 let snapshot_key ~spec ~slot = Printf.sprintf "%s #epoch:%d" spec slot
 let result_key ~spec = spec ^ " #result"
-
-let append_snapshot w ~spec ~slot value =
-  Journal.append w ~key:(snapshot_key ~spec ~slot) ~value
-
-let append_result w ~spec value =
-  Journal.append w ~key:(result_key ~spec) ~value
 
 type contents = {
   params : (string * Json.t) list;
@@ -41,62 +29,63 @@ let parse_key key =
       else None)
   | Some _ | None -> None
 
-let load ~path =
-  match Journal.load ~schema ~path () with
-  | Error e -> Error e
-  | Ok { Journal.params; entries } -> (
-      let snap_tbl = Hashtbl.create 64 in
-      let res_tbl = Hashtbl.create 16 in
-      let seen_spec = Hashtbl.create 16 in
-      let spec_order = ref [] in
-      let note_spec s =
-        if not (Hashtbl.mem seen_spec s) then begin
-          Hashtbl.add seen_spec s ();
-          spec_order := s :: !spec_order
-        end
+(* Sort a bench-journal entry list into per-spec barrier snapshots and
+   results. *)
+let contents_of ~path { Journal.params; entries } =
+  let snap_tbl = Hashtbl.create 64 in
+  let res_tbl = Hashtbl.create 16 in
+  let seen_spec = Hashtbl.create 16 in
+  let spec_order = ref [] in
+  let note_spec s =
+    if not (Hashtbl.mem seen_spec s) then begin
+      Hashtbl.add seen_spec s ();
+      spec_order := s :: !spec_order
+    end
+  in
+  let bad = ref None in
+  List.iter
+    (fun (key, v) ->
+      if Option.is_none !bad then
+        match parse_key key with
+        | Some (`Snapshot (spec, slot)) ->
+            note_spec spec;
+            Hashtbl.replace snap_tbl (spec, slot) v
+        | Some (`Result spec) ->
+            note_spec spec;
+            Hashtbl.replace res_tbl spec v
+        | None -> bad := Some key)
+    entries;
+  match !bad with
+  | Some key ->
+      Error
+        (Error.v Error.Bad_spec ~who:"Topo_journal.load"
+           "unrecognized topo-journal key"
+           ~context:[ ("path", path); ("key", key) ])
+  | None ->
+      let specs = List.rev !spec_order in
+      let snapshots =
+        List.map
+          (fun s ->
+            let slots =
+              (* lint: allow R1 -- bindings are sorted by slot immediately below, so hash order never escapes *)
+              Hashtbl.fold (* analyze: allow A1 -- hash order is erased by the Int.compare sort below before anything reads the list *)
+                (fun (s', slot) v acc ->
+                  if String.equal s s' then (slot, v) :: acc else acc)
+                snap_tbl []
+            in
+            ( s,
+              List.sort (fun (a, _) (b, _) -> Int.compare a b) slots ))
+          specs
       in
-      let bad = ref None in
-      List.iter
-        (fun (key, v) ->
-          if Option.is_none !bad then
-            match parse_key key with
-            | Some (`Snapshot (spec, slot)) ->
-                note_spec spec;
-                Hashtbl.replace snap_tbl (spec, slot) v
-            | Some (`Result spec) ->
-                note_spec spec;
-                Hashtbl.replace res_tbl spec v
-            | None -> bad := Some key)
-        entries;
-      match !bad with
-      | Some key ->
-          Error
-            (Error.v Error.Bad_spec ~who:"Topo_journal.load"
-               "unrecognized topo-journal key"
-               ~context:[ ("path", path); ("key", key) ])
-      | None ->
-          let specs = List.rev !spec_order in
-          let snapshots =
-            List.map
-              (fun s ->
-                let slots =
-                  (* lint: allow R1 -- bindings are sorted by slot immediately below, so hash order never escapes *)
-                  Hashtbl.fold (* analyze: allow A1 -- hash order is erased by the Int.compare sort below before anything reads the list *)
-                    (fun (s', slot) v acc ->
-                      if String.equal s s' then (slot, v) :: acc else acc)
-                    snap_tbl []
-                in
-                ( s,
-                  List.sort (fun (a, _) (b, _) -> Int.compare a b) slots ))
-              specs
-          in
-          let results =
-            List.filter_map
-              (fun s ->
-                Option.map (fun v -> (s, v)) (Hashtbl.find_opt res_tbl s))
-              specs
-          in
-          Ok { params; snapshots; results })
+      let results =
+        List.filter_map
+          (fun s ->
+            Option.map (fun v -> (s, v)) (Hashtbl.find_opt res_tbl s))
+          specs
+      in
+      Ok { params; snapshots; results }
+
+let load ~path = Result.bind (Journal.load ~schema ~path ()) (contents_of ~path)
 
 let find_snapshot contents ~spec ~slot =
   Option.bind
@@ -107,3 +96,41 @@ let find_snapshot contents ~spec ~slot =
 let find_result contents ~spec =
   Option.map snd
     (List.find_opt (fun (s, _) -> String.equal s spec) contents.results)
+
+(* --- the resume protocol --- *)
+
+type t = { writer : Journal.writer; held : contents }
+
+let resume ~path ~params =
+  let writer, entries =
+    Journal.resume ~schema ~who:"Topo_journal.resume" ~path ~params ()
+  in
+  match contents_of ~path entries with
+  | Ok held -> { writer; held }
+  | Error e ->
+      Journal.close writer;
+      Error.raise_ e
+
+let close t = Journal.close t.writer
+let replayed t ~spec = find_result t.held ~spec
+
+let barrier t ~spec ~slot snap =
+  match find_snapshot t.held ~spec ~slot with
+  | None -> Journal.append t.writer ~key:(snapshot_key ~spec ~slot) ~value:snap
+  | Some recorded ->
+      let recorded = Json.to_string ~pretty:false recorded
+      and replay = Json.to_string ~pretty:false snap in
+      if not (String.equal recorded replay) then
+        Error.bad_spec ~who:"Topo_journal.barrier"
+          "topo journal diverges from replay"
+          ~context:
+            [
+              ("spec", spec);
+              ("slot", string_of_int slot);
+              ("journal", recorded);
+              ("replay", replay);
+            ]
+
+let finish t ~spec result =
+  if Option.is_none (replayed t ~spec) then
+    Journal.append t.writer ~key:(result_key ~spec) ~value:result

@@ -30,3 +30,8 @@ val print : t -> unit
 
 val cell_of_float : ?decimals:int -> float -> string
 (** Shared float formatting used by [add_float_row]. *)
+
+val cell_of_samples : ?decimals:int -> float list -> string
+(** One cell for a replicated measurement: {!cell_of_float} of the value
+    for a single sample, ["mean±ci"] (95% Student-t half-width,
+    {!Stats.Summary.ci95}) across several. *)

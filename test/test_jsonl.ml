@@ -126,11 +126,13 @@ let rows =
       who = "Journal.load";
       write =
         (fun path ->
-          let w = Topo_journal.create ~path ~params:[ ("credit", Json.Int 4) ] in
+          (* resume creates the journal only where no file exists yet *)
+          Sys.remove path;
+          let j = Topo_journal.resume ~path ~params:[ ("credit", Json.Int 4) ] in
           List.iter
-            (fun slot -> Topo_journal.append_snapshot w ~spec:"s" ~slot (Json.Int slot))
+            (fun slot -> Topo_journal.barrier j ~spec:"s" ~slot (Json.Int slot))
             [ 100; 200; 300 ];
-          Topo_journal.close w);
+          Topo_journal.close j);
       count =
         count_of (fun path ->
             Result.map

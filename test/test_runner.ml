@@ -66,9 +66,18 @@ let small_specs () =
        (fun sched -> Spec.make ~seed:7 ~horizon:3_000 ~sched (Spec.example ~sum:0.1 1))
        [ "WRR-P"; "SwapA-P"; "IWFQ-P"; "Blind WRR"; "CIF-Q-P"; "CSDPS" ])
 
+(* Every replica through the entry wfs_sim drives: Exec.replicas over
+   Exec.run_outcome. *)
+let replicas ~jobs ~seeds specs =
+  Exec.replicas ~jobs ~seeds (fun sp -> Exec.run_outcome sp) specs
+  |> List.map
+       (Array.map (function
+         | Ok m -> fingerprint m
+         | Error e -> Alcotest.failf "replica failed: %s" (Wfs_util.Error.to_string e)))
+
 let test_exec_jobs_invariant () =
-  let specs = small_specs () in
-  let runs jobs = Array.map fingerprint (Exec.run_all ~jobs specs) in
+  let specs = Array.to_list (small_specs ()) in
+  let runs jobs = replicas ~jobs ~seeds:2 specs in
   let seq = runs 1 in
   check_bool "jobs=2 identical to jobs=1" true (runs 2 = seq);
   check_bool "jobs=4 identical to jobs=1" true (runs 4 = seq)
@@ -76,29 +85,32 @@ let test_exec_jobs_invariant () =
 let test_exec_order_invariant () =
   (* Each run splits its RNG streams from its own spec seed, so results do
      not depend on what ran before them or on which domain they landed. *)
-  let specs = small_specs () in
-  let n = Array.length specs in
-  let rev = Array.init n (fun i -> specs.(n - 1 - i)) in
-  let fwd = Array.map fingerprint (Exec.run_all ~jobs:2 specs) in
-  let bwd = Array.map fingerprint (Exec.run_all ~jobs:2 rev) in
-  Array.iteri
-    (fun i fp -> check_bool "same result in reversed order" true (fp = bwd.(n - 1 - i)))
-    fwd
+  let specs = Array.to_list (small_specs ()) in
+  let fwd = replicas ~jobs:2 ~seeds:1 specs in
+  let bwd = replicas ~jobs:2 ~seeds:1 (List.rev specs) in
+  check_bool "same results in reversed order" true (fwd = List.rev bwd)
 
 let test_exec_replicate () =
   let spec = Spec.make ~seed:3 ~horizon:2_000 ~sched:"SwapA-P" (Spec.example 1) in
-  let reps = Exec.replicate ~jobs:2 ~seeds:3 spec in
-  check_int "three replicas" 3 (Array.length reps);
-  Array.iteri
-    (fun k m ->
-      let solo = Exec.run (Spec.with_seed (3 + k) spec) in
-      check_bool
-        (Printf.sprintf "replica %d = standalone seed %d" k (3 + k))
-        true
-        (fingerprint m = fingerprint solo))
-    reps;
-  let s = Exec.summarize (fun m -> Core.Metrics.mean_delay m ~flow:0) reps in
-  check_int "summary over 3" 3 (Wfs_util.Stats.Summary.count s)
+  let other = Spec.with_seed 11 (Spec.make ~seed:3 ~horizon:2_000 ~sched:"CIF-Q-P" (Spec.example 2)) in
+  let groups = replicas ~jobs:2 ~seeds:3 [ spec; other ] in
+  check_int "one group per spec" 2 (List.length groups);
+  List.iter2
+    (fun (sp : Spec.t) reps ->
+      check_int "three replicas" 3 (Array.length reps);
+      Array.iteri
+        (fun k fp ->
+          let solo = Exec.run (Spec.with_seed (sp.seed + k) sp) in
+          check_bool
+            (Printf.sprintf "%s replica %d = standalone seed %d" sp.sched k
+               (sp.seed + k))
+            true
+            (fp = fingerprint solo))
+        reps)
+    [ spec; other ] groups;
+  Alcotest.check_raises "seeds must be >= 1"
+    (Invalid_argument "Exec.replicas: seeds must be >= 1, got 0") (fun () ->
+      ignore (Exec.replicas ~jobs:1 ~seeds:0 (fun sp -> Exec.run_outcome sp) [ spec ]))
 
 (* --- checkpoint/resume --- *)
 
@@ -165,6 +177,32 @@ let test_journal_truncate_resume () =
           List.iter2
             (check_str "resumed output byte-identical")
             uninterrupted resumed)
+
+(* Journal.resume, the helper bench sweeps and topology runs open their
+   journals with: create when absent, reload with the entries when the
+   settings match, refuse when they differ. *)
+let test_journal_resume () =
+  let path = Filename.temp_file "wfs_resume" ".journal" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let params = [ ("horizon", Json.Int 2_000); ("seed", Json.Int 1) ] in
+      let resume params = Wfs_runner.Journal.resume ~who:"test" ~path ~params () in
+      let w, fresh = resume params in
+      check_int "fresh journal is empty" 0 (List.length fresh.entries);
+      Wfs_runner.Journal.append w ~key:"a" ~value:(Json.Int 1);
+      Wfs_runner.Journal.close w;
+      (* Key order does not matter, values do. *)
+      let w, held = resume (List.rev params) in
+      Wfs_runner.Journal.close w;
+      check_bool "entries come back" true (held.entries = [ ("a", Json.Int 1) ]);
+      match resume [ ("horizon", Json.Int 2_000); ("seed", Json.Int 2) ] with
+      | _ -> Alcotest.fail "different settings accepted"
+      | exception Wfs_util.Error.Error e ->
+          check_str "who" "test" e.Wfs_util.Error.who;
+          check_str "what" "journal was written for different settings"
+            e.Wfs_util.Error.what)
 
 (* --- Spec round-trip --- *)
 
@@ -651,6 +689,7 @@ let suite =
     ("exec invariant under order", `Slow, test_exec_order_invariant);
     ("exec replicate", `Slow, test_exec_replicate);
     ("journal truncate and resume", `Slow, test_journal_truncate_resume);
+    ("journal resume refuses different settings", `Quick, test_journal_resume);
     ("journal reopen after a torn tail", `Quick,
      test_journal_reopen_after_torn_tail);
     ("spec round-trip", `Quick, test_spec_roundtrip);

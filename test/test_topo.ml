@@ -3,13 +3,14 @@
    single-cell runs, handoff carry preservation within the Section 5 /
    Section 7 bounds, jobs-invariance of the sharded lockstep loop (clean
    and under chaos), graceful degradation under fault plans, and the
-   Topo_journal kill/resume protocol. *)
+   Topo_journal kill/resume protocol as Topo_run drives it. *)
 
 module Spec = Wfs_runner.Spec
 module Exec = Wfs_runner.Exec
 module Topology = Wfs_topo.Topology
 module Cell = Wfs_topo.Cell
 module Topo_journal = Wfs_topo.Topo_journal
+module Topo_run = Wfs_topo.Topo_run
 module Chaos = Wfs_chaos.Chaos
 module M = Wfs_core.Metrics
 module Sched = Wfs_core.Wireless_sched
@@ -732,26 +733,53 @@ let test_inert_plan_identity () =
   Alcotest.(check string) "metrics identical" m0 m1;
   Alcotest.(check string) "instruments identical" i0 i1
 
-(* --- Topo_journal: schema, torn tail, corruption, kill/resume --- *)
+(* --- Topo_journal: schema, torn tail, corruption, the resume protocol --- *)
 
+(* A fresh path with no file behind it: Topo_journal.resume creates the
+   journal only where none exists. *)
 let with_temp_journal f =
   let path = Filename.temp_file "wfs_topo" ".journal" in
+  Sys.remove path;
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
 let tj_params = [ ("credit", Json.Int 4); ("invariants", Json.Bool false) ]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let read_lines path =
+  String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "")
+
+let write_lines path lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+let expect_bad_spec ~who ~what f =
+  match f () with
+  | _ -> Alcotest.failf "expected %S" what
+  | exception Error.Error e ->
+      Alcotest.(check string) "kind" "bad-spec" (Error.kind_to_string e.Error.kind);
+      Alcotest.(check string) "who" who e.Error.who;
+      Alcotest.(check string) "what" what e.Error.what
 
 let test_topo_journal_roundtrip () =
   with_temp_journal (fun path ->
-      let w = Topo_journal.create ~path ~params:tj_params in
-      Topo_journal.append_snapshot w ~spec:"s1" ~slot:100 (Json.Int 1);
-      Topo_journal.append_snapshot w ~spec:"s1" ~slot:200 (Json.Int 2);
-      Topo_journal.append_result w ~spec:"s1" (Json.Str "done");
-      Topo_journal.close w;
-      let w = Topo_journal.reopen ~path in
-      Topo_journal.append_snapshot w ~spec:"s2" ~slot:100 (Json.Int 3);
-      Topo_journal.close w;
+      let j = Topo_journal.resume ~path ~params:tj_params in
+      Topo_journal.barrier j ~spec:"s1" ~slot:100 (Json.Int 1);
+      Topo_journal.barrier j ~spec:"s1" ~slot:200 (Json.Int 2);
+      Topo_journal.finish j ~spec:"s1" (Json.Str "done");
+      Topo_journal.close j;
+      let j = Topo_journal.resume ~path ~params:tj_params in
+      Alcotest.(check bool) "finished spec replays" true
+        (Topo_journal.replayed j ~spec:"s1" = Some (Json.Str "done"));
+      (* Journaled barriers and results are verified or skipped, not
+         written twice. *)
+      Topo_journal.barrier j ~spec:"s1" ~slot:100 (Json.Int 1);
+      Topo_journal.finish j ~spec:"s1" (Json.Str "done");
+      Topo_journal.barrier j ~spec:"s2" ~slot:100 (Json.Int 3);
+      Topo_journal.close j;
+      Alcotest.(check int) "header plus four entries" 5
+        (List.length (read_lines path));
       match Topo_journal.load ~path with
       | Error e -> Alcotest.failf "load failed: %s" (Error.to_string e)
       | Ok c ->
@@ -765,11 +793,14 @@ let test_topo_journal_roundtrip () =
           Alcotest.(check bool) "second spec's snapshot found" true
             (Topo_journal.find_snapshot c ~spec:"s2" ~slot:100 = Some (Json.Int 3)))
 
+let journal_with_barrier path =
+  let j = Topo_journal.resume ~path ~params:tj_params in
+  Topo_journal.barrier j ~spec:"s" ~slot:100 (Json.Int 1);
+  Topo_journal.close j
+
 let test_topo_journal_torn_tail () =
   with_temp_journal (fun path ->
-      let w = Topo_journal.create ~path ~params:tj_params in
-      Topo_journal.append_snapshot w ~spec:"s" ~slot:100 (Json.Int 1);
-      Topo_journal.close w;
+      journal_with_barrier path;
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "{\"key\":\"s #epoch:200\",\"val";
       close_out oc;
@@ -784,9 +815,7 @@ let test_topo_journal_torn_tail () =
 
 let test_topo_journal_corruption_rejected () =
   with_temp_journal (fun path ->
-      let w = Topo_journal.create ~path ~params:tj_params in
-      Topo_journal.append_snapshot w ~spec:"s" ~slot:100 (Json.Int 1);
-      Topo_journal.close w;
+      journal_with_barrier path;
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "garbage\n{\"key\":\"s #epoch:200\",\"value\":2}\n";
       close_out oc;
@@ -822,13 +851,11 @@ let test_topo_journal_rejects_untagged_key () =
           Alcotest.(check string) "typed by the loader" "Topo_journal.load"
             e.Error.who)
 
-(* A torn topo journal resumed twice: [reopen] cuts the fragment, so both
-   resumes append whole lines and the file keeps loading. *)
+(* A torn topo journal resumed twice: the reopen cuts the fragment, so
+   both resumes append whole lines and the file keeps loading. *)
 let test_topo_journal_reopen_after_torn_tail () =
   with_temp_journal (fun path ->
-      let w = Topo_journal.create ~path ~params:tj_params in
-      Topo_journal.append_snapshot w ~spec:"s" ~slot:100 (Json.Int 1);
-      Topo_journal.close w;
+      journal_with_barrier path;
       Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
         (fun oc -> output_string oc "{\"key\":\"torn");
       let slots () =
@@ -839,68 +866,54 @@ let test_topo_journal_reopen_after_torn_tail () =
       Alcotest.(check (list int)) "torn tail dropped" [ 100 ] (slots ());
       List.iter
         (fun slot ->
-          let w = Topo_journal.reopen ~path in
-          Topo_journal.append_snapshot w ~spec:"s" ~slot (Json.Int slot);
-          Topo_journal.close w)
+          let j = Topo_journal.resume ~path ~params:tj_params in
+          Topo_journal.barrier j ~spec:"s" ~slot (Json.Int slot);
+          Topo_journal.close j)
         [ 200; 300 ];
       Alcotest.(check (list int))
         "old barrier plus both resumed ones" [ 100; 200; 300 ] (slots ()))
 
-(* Kill-at-an-arbitrary-epoch, then resume: the resumed journal must be
-   byte-identical to an uninterrupted run's, with every already-journaled
-   barrier verified against the replay rather than trusted. *)
+let test_topo_journal_refuses_settings () =
+  with_temp_journal (fun path ->
+      journal_with_barrier path;
+      expect_bad_spec ~who:"Topo_journal.resume"
+        ~what:"journal was written for different settings" (fun () ->
+          Topo_journal.resume ~path ~params:[ ("credit", Json.Int 9) ]))
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+(* --- Topo_run: the library entry wfs_sim drives --- *)
 
-exception Killed
+let faulted_spec () = Spec.of_string_exn faulted_spec_str
 
-let journal_run ~path ~jobs ?kill_after spec =
-  let key = Spec.to_string spec in
-  let t = Topology.of_spec spec in
-  let w = Topo_journal.create ~path ~params:tj_params in
-  let barriers = ref 0 in
-  let killed =
-    match
-      Topology.run ~jobs
-        ~on_barrier:(fun ~slot ->
-          Topo_journal.append_snapshot w ~spec:key ~slot
-            (Topology.snapshot t ~slot);
-          incr barriers;
-          match kill_after with
-          | Some k when !barriers >= k -> raise Killed
-          | _ -> ())
-        t
-    with
-    | () -> false
-    | exception Killed -> true
-  in
-  if not killed then
-    Topo_journal.append_result w ~spec:key (M.to_json (Topology.metrics t));
-  Topo_journal.close w;
-  killed
+let run_ok ?artifacts ?resume ~jobs spec =
+  match Topo_run.run ?artifacts ?resume ~jobs [ spec ] with
+  | [ Ok r ] -> r
+  | [ Error e ] -> Alcotest.failf "run failed: %s" (Error.to_string e)
+  | _ -> Alcotest.fail "one outcome per spec"
 
-let resume_run ~path ~jobs spec =
-  let key = Spec.to_string spec in
-  let contents =
-    match Topo_journal.load ~path with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "resume load failed: %s" (Error.to_string e)
-  in
-  let w = Topo_journal.reopen ~path in
-  let t = Topology.of_spec spec in
-  Topology.run ~jobs
-    ~on_barrier:(fun ~slot ->
-      let snap = Topology.snapshot t ~slot in
-      match Topo_journal.find_snapshot contents ~spec:key ~slot with
-      | Some j ->
-          Alcotest.(check string)
-            (Printf.sprintf "journaled barrier %d verified" slot)
-            (Json.to_string j) (Json.to_string snap)
-      | None -> Topo_journal.append_snapshot w ~spec:key ~slot snap)
-    t;
-  Topo_journal.append_result w ~spec:key (M.to_json (Topology.metrics t));
-  Topo_journal.close w
+let result_text r = Json.to_string ~pretty:false (Topo_run.to_json r)
 
+let test_topo_result_codec () =
+  List.iter
+    (fun spec ->
+      let r = run_ok ~jobs:2 spec in
+      match Topo_run.of_json (Topo_run.to_json r) with
+      | None -> Alcotest.fail "result does not decode"
+      | Some r' ->
+          Alcotest.(check string) "re-encodes identically" (result_text r)
+            (result_text r'))
+    [
+      faulted_spec ();
+      Spec.of_string_exn
+        "example:1 | CIF-Q-P | seed=5 | horizon=2000 | cells=2,mobility=0.05,epoch=200";
+    ];
+  Alcotest.(check bool) "a truncated payload is refused" true
+    (Topo_run.of_json (Json.Obj [ ("n_cells", Json.Int 2) ]) = None)
+
+(* Kill at an arbitrary epoch — the journal cut after its first k lines,
+   as a killed process leaves it — then resume through Topo_run: the
+   resumed journal must be byte-identical to an uninterrupted run's, with
+   every already-journaled barrier verified against the replay rather than
+   trusted. *)
 let prop_kill_resume_identity =
   QCheck.Test.make
     ~name:
@@ -909,25 +922,109 @@ let prop_kill_resume_identity =
     ~count:5
     (QCheck.make QCheck.Gen.(pair (1 -- 28) (oneofl [ 1; 2; 4 ])))
     (fun (kill_after, resume_jobs) ->
-      let spec = Spec.of_string_exn faulted_spec_str in
+      let spec = faulted_spec () in
       with_temp_journal (fun full_path ->
           with_temp_journal (fun killed_path ->
-              ignore (journal_run ~path:full_path ~jobs:2 spec);
-              let killed =
-                journal_run ~path:killed_path ~jobs:2 ~kill_after spec
+              let full = result_text (run_ok ~resume:full_path ~jobs:2 spec) in
+              let lines = read_lines full_path in
+              (* header + 29 barriers (6000 slots at epoch 200) + result:
+                 every kill point loses the result and later barriers. *)
+              Alcotest.(check int) "journal lines" 31 (List.length lines);
+              write_lines killed_path (List.filteri (fun i _ -> i <= kill_after) lines);
+              let resumed =
+                result_text (run_ok ~resume:killed_path ~jobs:resume_jobs spec)
               in
-              (* 29 barriers in a 6000-slot horizon at epoch 200; every
-                 generated kill point interrupts the run. *)
-              if not killed then
-                Alcotest.failf "kill point %d did not interrupt" kill_after;
-              resume_run ~path:killed_path ~jobs:resume_jobs spec;
-              let a = read_file full_path and b = read_file killed_path in
-              if not (String.equal a b) then
+              if not (String.equal (read_file full_path) (read_file killed_path))
+              then
                 QCheck.Test.fail_reportf
                   "resumed journal diverges (killed after %d barriers, \
                    resumed with jobs=%d)"
                   kill_after resume_jobs;
-              true)))
+              String.equal full resumed)))
+
+(* A finished journal replays without running — unless per-run artifacts
+   are asked for: then the spec re-runs, every barrier is verified, the
+   artifacts are written, and no second result line is appended. *)
+let test_resume_finished_rewrites_artifacts () =
+  let dir = Filename.temp_dir "wfs_topo" "" in
+  let file name = Filename.concat dir name in
+  let artifacts =
+    {
+      Topo_run.no_artifacts with
+      trace_out = Some (file "x.jsonl");
+      causality = Some (file "c.jsonl");
+      windows = Some (file "w.jsonl");
+      window_slots = 500;
+    }
+  in
+  let outputs = [ "x.jsonl"; "c.jsonl"; "w.jsonl" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (file f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let spec = faulted_spec () and resume = file "j.topoj" in
+      let first = result_text (run_ok ~artifacts ~resume ~jobs:2 spec) in
+      let journal = read_file resume in
+      let written = List.map (fun f -> read_file (file f)) outputs in
+      List.iter (fun f -> Sys.remove (file f)) outputs;
+      let again = result_text (run_ok ~artifacts ~resume ~jobs:4 spec) in
+      Alcotest.(check string) "same result" first again;
+      List.iter2
+        (fun f before ->
+          Alcotest.(check bool) (f ^ " rewritten") true (Sys.file_exists (file f));
+          Alcotest.(check string) (f ^ " identical") before (read_file (file f)))
+        outputs written;
+      Alcotest.(check string) "journal untouched" journal (read_file resume);
+      (* Without artifacts the finished spec replays from the journal. *)
+      Alcotest.(check string) "replayed result" first
+        (result_text (run_ok ~resume ~jobs:1 spec)))
+
+(* Rewrite the journal entry on line [i] (0 = header) with a new value. *)
+let rewrite_entry path i value =
+  write_lines path
+    (List.mapi
+       (fun k line ->
+         if k <> i then line
+         else
+           match Json.of_string line with
+           | Ok j ->
+               let key = Option.get (Json.member "key" j) in
+               Json.to_string ~pretty:false (Json.Obj [ ("key", key); ("value", value) ])
+           | Error msg -> Alcotest.failf "journal line %d: %s" k msg)
+       (read_lines path))
+
+let test_resume_refuses_diverging_barrier () =
+  with_temp_journal (fun path ->
+      let spec = faulted_spec () in
+      ignore (run_ok ~resume:path ~jobs:2 spec);
+      (* Drop the result so the spec re-runs, and falsify barrier 2. *)
+      write_lines path (List.filteri (fun i _ -> i <= 5) (read_lines path));
+      rewrite_entry path 2 (Json.Obj [ ("slot", Json.Int 400) ]);
+      match Topo_run.run ~resume:path ~jobs:2 [ spec ] with
+      | [ Error e ] ->
+          Alcotest.(check string) "who" "Topo_journal.barrier" e.Error.who;
+          Alcotest.(check string) "what" "topo journal diverges from replay"
+            e.Error.what;
+          Alcotest.(check (option string)) "slot" (Some "400")
+            (List.assoc_opt "slot" e.Error.context)
+      | _ -> Alcotest.fail "a diverging barrier must fail the spec")
+
+let test_resume_refuses_unreadable_result () =
+  with_temp_journal (fun path ->
+      let spec = faulted_spec () in
+      ignore (run_ok ~resume:path ~jobs:2 spec);
+      rewrite_entry path 30 (Json.Str "not a result");
+      expect_bad_spec ~who:"Topo_run.run" ~what:"unreadable topo-journal result"
+        (fun () -> Topo_run.run ~resume:path ~jobs:2 [ spec ]))
+
+let test_resume_refuses_settings () =
+  with_temp_journal (fun path ->
+      let spec = faulted_spec () in
+      ignore (run_ok ~resume:path ~jobs:2 spec);
+      expect_bad_spec ~who:"Topo_journal.resume"
+        ~what:"journal was written for different settings" (fun () ->
+          Topo_run.run ~credit_limit:2 ~resume:path ~jobs:2 [ spec ]))
 
 (* --- Dispatch guards --- *)
 
@@ -1005,7 +1102,19 @@ let suite =
       test_topo_journal_rejects_foreign_schema;
     Alcotest.test_case "topo journal rejects untagged keys" `Quick
       test_topo_journal_rejects_untagged_key;
+    Alcotest.test_case "topo journal refuses different settings" `Quick
+      test_topo_journal_refuses_settings;
+    Alcotest.test_case "topo run result codec round-trips" `Quick
+      test_topo_result_codec;
     QCheck_alcotest.to_alcotest prop_kill_resume_identity;
+    Alcotest.test_case "resume over a finished journal rewrites artifacts"
+      `Quick test_resume_finished_rewrites_artifacts;
+    Alcotest.test_case "resume refuses a diverging barrier" `Quick
+      test_resume_refuses_diverging_barrier;
+    Alcotest.test_case "resume refuses an unreadable result" `Quick
+      test_resume_refuses_unreadable_result;
+    Alcotest.test_case "resume refuses different run settings" `Quick
+      test_resume_refuses_settings;
     Alcotest.test_case "exec rejects topology specs" `Quick
       test_exec_rejects_topo;
     Alcotest.test_case "of_spec requires a topology clause" `Quick

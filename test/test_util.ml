@@ -288,7 +288,12 @@ let test_cell_of_float () =
   Alcotest.(check string) "nan renders dash" "-" (Tablefmt.cell_of_float nan);
   Alcotest.(check string)
     "decimals respected" "3.14"
-    (Tablefmt.cell_of_float ~decimals:2 3.14159)
+    (Tablefmt.cell_of_float ~decimals:2 3.14159);
+  Alcotest.(check string) "one sample renders plain" "3.1416"
+    (Tablefmt.cell_of_samples ~decimals:4 [ 3.14159 ]);
+  (* mean 2, s = 1, n = 3: half-width t(0.975, 2) / sqrt 3 = 2.484 *)
+  Alcotest.(check string) "replicas render mean±ci95" "2±2.48"
+    (Tablefmt.cell_of_samples [ 1.; 2.; 3. ])
 
 let suite =
   [
