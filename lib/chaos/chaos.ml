@@ -378,7 +378,7 @@ let write_timeline ~path runs =
 let load_timeline ~path =
   Jsonl.load ~who:"Chaos.load_timeline" ~schema:timeline_schema ~path
     ~header:(fun _ -> Some ())
-    ~line:(fun () v -> Jsonl.decoded (stamped_of_json v))
+    ~line:(Jsonl.tree (fun () v -> Jsonl.decoded (stamped_of_json v)))
   |> Result.map snd
 
 let timeline_context t =

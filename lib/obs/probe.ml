@@ -29,38 +29,41 @@ let standard reg =
   let max_lag = Instruments.gauge ~policy:Instruments.Max reg "probe.max-lag-sum" in
   { samples; idle; backlog; max_queue; vt; max_lag }
 
-let create ?(stride = 1) ?(sinks = []) ?instruments ~n_flows
-    (sched : Sched.instance) : Wfs_core.Simulator.slot_probe =
-  if stride < 1 then Error.bad_config ~who:"Probe.create" "stride must be >= 1";
-  if n_flows < 1 then Error.bad_config ~who:"Probe.create" "n_flows must be >= 1";
+let sampler ~n_flows (sched : Sched.instance) =
   let p = sched.Sched.probe in
   let tag_of = p.Sched.finish_tag in
   let credit_of = p.Sched.credit in
   let vt_of = p.Sched.virtual_time in
   let lag_of = p.Sched.lag_sum in
   let queue_of = sched.Sched.queue_length in
+  fun ~slot ~selected ~states ->
+    let flows =
+      Array.init n_flows (fun i ->
+          {
+            Trace.queue = queue_of i;
+            good = Channel.state_is_good states.(i);
+            tag = (match tag_of with None -> None | Some f -> Some (f i));
+            credit =
+              (match credit_of with
+              | None -> None
+              | Some f ->
+                  let balance, _, _ = f i in
+                  Some balance);
+          })
+    in
+    let virtual_time = match vt_of with None -> None | Some f -> Some (f ()) in
+    let lag_sum = match lag_of with None -> None | Some f -> Some (f ()) in
+    { Trace.slot; selected; virtual_time; lag_sum; flows }
+
+let create ?(stride = 1) ?(sinks = []) ?instruments ~n_flows
+    (sched : Sched.instance) : Wfs_core.Simulator.slot_probe =
+  if stride < 1 then Error.bad_config ~who:"Probe.create" "stride must be >= 1";
+  if n_flows < 1 then Error.bad_config ~who:"Probe.create" "n_flows must be >= 1";
+  let sample_of = sampler ~n_flows sched in
   let std = Option.map standard instruments in
   fun ~slot ~selected ~states ->
     if slot mod stride = 0 then begin
-      let flows =
-        Array.init n_flows (fun i ->
-            {
-              Trace.queue = queue_of i;
-              good = Channel.state_is_good states.(i);
-              tag = (match tag_of with None -> None | Some f -> Some (f i));
-              credit =
-                (match credit_of with
-                | None -> None
-                | Some f ->
-                    let balance, _, _ = f i in
-                    Some balance);
-            })
-      in
-      let virtual_time =
-        match vt_of with None -> None | Some f -> Some (f ())
-      in
-      let lag_sum = match lag_of with None -> None | Some f -> Some (f ()) in
-      let sample = { Trace.slot; selected; virtual_time; lag_sum; flows } in
+      let sample = sample_of ~slot ~selected ~states in
       List.iter (fun sink -> Sink.write sink sample) sinks;
       match std with
       | None -> ()
@@ -72,12 +75,12 @@ let create ?(stride = 1) ?(sinks = []) ?instruments ~n_flows
             (fun (f : Trace.flow_sample) ->
               total := !total + f.Trace.queue;
               Instruments.set s.max_queue (float_of_int f.Trace.queue))
-            flows;
+            sample.Trace.flows;
           Instruments.observe s.backlog (float_of_int !total);
-          (match virtual_time with
+          (match sample.Trace.virtual_time with
           | None -> ()
           | Some v -> Instruments.set s.vt v);
-          match lag_sum with
+          match sample.Trace.lag_sum with
           | None -> ()
           | Some l -> Instruments.set s.max_lag (float_of_int l)
     end

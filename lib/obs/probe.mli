@@ -37,3 +37,16 @@ val create :
     index).
     @raise Wfs_util.Error.Error (kind [Bad_config]) when [stride < 1] or
     [n_flows < 1]. *)
+
+val sampler :
+  n_flows:int ->
+  Wfs_core.Wireless_sched.instance ->
+  slot:int ->
+  selected:int option ->
+  states:Wfs_channel.Channel.state array ->
+  Trace.sample
+(** [sampler ~n_flows sched] builds the {!Trace.sample} of a slot from the
+    scheduler's probe accessors: per-flow queue depth, channel state,
+    finish tag and credit balance for flows [0 .. n_flows-1], plus virtual
+    time and lag sum.  The one sample builder of {!create} and
+    [Wfs_xray.Mux.probe]. *)

@@ -65,7 +65,7 @@ let write t (s : Trace.sample) =
   if Array.length s.Trace.flows <> t.n_flows then
     Error.bad_config ~who:"Sink.write" "sample width disagrees with header";
   (match t.format with
-  | Jsonl w -> Jsonl.append w (Trace.sample_to_json s)
+  | Jsonl w -> Jsonl.append_with w Trace.add_sample s
   | Csv { oc; buf } ->
       Buffer.clear buf;
       write_csv buf s;

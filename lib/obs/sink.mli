@@ -9,14 +9,16 @@
     immediately, so traces of any horizon stream to disk.
 
     Both formats write numbers through {!Wfs_util.Json.add_int} and
-    {!Wfs_util.Json.add_float}; the JSONL format is a
-    {!Wfs_util.Jsonl.writer}, which formats each line with
-    {!Wfs_util.Json.to_buffer} straight into its buffer, with no
-    intermediate string.  Measured cost of an enabled per-slot probe
-    into a JSONL sink (wfsbench [cell-observed --trace 1], 16 flows,
-    4 000 samples, 2-core host, OCaml 5.1.1, dev profile): about 5 us
-    per sample, sample construction included, and about 3 750 minor
-    words per simulated slot for the whole traced run. *)
+    {!Wfs_util.Json.add_float}.  The JSONL format is a
+    {!Wfs_util.Jsonl.writer}: {!Trace.add_sample} formats each sample
+    straight into the writer's buffer ({!Wfs_util.Jsonl.append_with}),
+    with no {!Wfs_util.Json.t} and no intermediate string.  Measured cost
+    of an enabled per-slot probe into a JSONL sink (wfsbench
+    [cell-observed --trace 1], seed 40, 16 flows, 4 000 samples per
+    repeat, 2-core host, OCaml 5.1.1, dev profile): about 1.9 us per
+    sample, sample construction included ([obs.probe_s] 0.0075 s per
+    repeat), and about 760 minor words per simulated slot for the whole
+    traced run, the reload of the trace included. *)
 
 type t
 

@@ -63,76 +63,128 @@ let header_of_fields fields =
 
 let header_of_json v = Option.bind (Jsonl.fields_of_header ~schema v) header_of_fields
 
-let flow_to_json f =
-  let base = [ ("q", Json.Int f.queue); ("g", Json.Int (if f.good then 1 else 0)) ] in
-  let base =
-    match f.tag with None -> base | Some t -> base @ [ ("tag", Json.of_float_ext t) ]
-  in
-  match f.credit with None -> base | Some c -> base @ [ ("cr", Json.Int c) ]
+(* --- typed sample codec: no [Json.t] on either side.  The writer emits
+   the compact members in a fixed order; the reader takes them in any
+   order by the accessor rules of a tree ([Json.member] and friends): the
+   first occurrence of a key wins, unknown keys are skipped, a required
+   field ([slot], [flows], a flow's [q] and [g]) of another type refuses
+   the line, and an optional one of another type reads as absent. --- *)
 
-let flow_of_json v =
-  let ( let* ) = Option.bind in
-  let* queue = Option.bind (Json.member "q" v) Json.to_int in
-  let* good = Option.bind (Json.member "g" v) Json.to_int in
-  let tag = Option.bind (Json.member "tag" v) Json.to_float_ext in
-  let credit = Option.bind (Json.member "cr" v) Json.to_int in
-  Some { queue; good = good <> 0; tag; credit }
+let add_flow buf f =
+  Buffer.add_string buf "{\"q\":";
+  Json.add_int buf f.queue;
+  Buffer.add_string buf (if f.good then ",\"g\":1" else ",\"g\":0");
+  (match f.tag with
+  | None -> ()
+  | Some t ->
+      Buffer.add_string buf ",\"tag\":";
+      Json.add_float_ext buf t);
+  (match f.credit with
+  | None -> ()
+  | Some c ->
+      Buffer.add_string buf ",\"cr\":";
+      Json.add_int buf c);
+  Buffer.add_char buf '}'
 
-let sample_to_json s =
-  let fields = [ ("slot", Json.Int s.slot) ] in
-  let fields =
-    match s.selected with
-    | None -> fields
-    | Some f -> fields @ [ ("sel", Json.Int f) ]
-  in
-  let fields =
-    match s.virtual_time with
-    | None -> fields
-    | Some v -> fields @ [ ("vt", Json.of_float_ext v) ]
-  in
-  let fields =
-    match s.lag_sum with
-    | None -> fields
-    | Some l -> fields @ [ ("lag", Json.Int l) ]
-  in
-  Json.Obj
-    (fields
-    @ [
-        ( "flows",
-          Json.Arr (Array.to_list (Array.map (fun f -> Json.Obj (flow_to_json f)) s.flows))
-        );
-      ])
+let add_sample_members buf s =
+  Buffer.add_string buf "\"slot\":";
+  Json.add_int buf s.slot;
+  (match s.selected with
+  | None -> ()
+  | Some f ->
+      Buffer.add_string buf ",\"sel\":";
+      Json.add_int buf f);
+  (match s.virtual_time with
+  | None -> ()
+  | Some v ->
+      Buffer.add_string buf ",\"vt\":";
+      Json.add_float_ext buf v);
+  (match s.lag_sum with
+  | None -> ()
+  | Some l ->
+      Buffer.add_string buf ",\"lag\":";
+      Json.add_int buf l);
+  Buffer.add_string buf ",\"flows\":[";
+  Array.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_flow buf f)
+    s.flows;
+  Buffer.add_char buf ']'
 
-let sample_of_json v =
-  let ( let* ) = Option.bind in
-  let* slot = Option.bind (Json.member "slot" v) Json.to_int in
-  let selected = Option.bind (Json.member "sel" v) Json.to_int in
-  let virtual_time = Option.bind (Json.member "vt" v) Json.to_float_ext in
-  let lag_sum = Option.bind (Json.member "lag" v) Json.to_int in
-  let* flows = Option.bind (Json.member "flows" v) Json.to_list in
-  let* flows =
-    List.fold_left
-      (fun acc fv ->
-        match acc with
-        | None -> None
-        | Some acc -> Option.map (fun f -> f :: acc) (flow_of_json fv))
-      (Some []) flows
-  in
-  Some
-    {
-      slot;
-      selected;
-      virtual_time;
-      lag_sum;
-      flows = Array.of_list (List.rev flows);
-    }
+let add_sample buf s =
+  Buffer.add_char buf '{';
+  add_sample_members buf s;
+  Buffer.add_char buf '}'
 
-let sample_to_string s = Json.to_string ~pretty:false (sample_to_json s)
+module Cursor = Json.Cursor
 
-let sample_of_string line =
-  match Json.of_string line with
-  | Error _ -> None
-  | Ok v -> sample_of_json v
+(* Each reader keeps a bit set of the keys it has read, bit [k] for
+   [keys.(k)], so a repeated key is skipped and a missing required one
+   refuses the line. *)
+
+let flow_keys = [| "q"; "g"; "tag"; "cr" |]
+
+let read_flow c =
+  let queue = ref 0 and good = ref 0 and tag = ref None and credit = ref None in
+  let seen = ref 0 in
+  let k = ref (Cursor.obj_first c flow_keys) in
+  while !k <> Cursor.obj_end do
+    if !k < 0 || !seen land (1 lsl !k) <> 0 then Cursor.skip c
+    else begin
+      seen := !seen lor (1 lsl !k);
+      match !k with
+      | 0 -> queue := Cursor.int c
+      | 1 -> good := Cursor.int c
+      | 2 -> tag := Cursor.optional Cursor.float_ext c
+      | _ -> credit := Cursor.optional Cursor.int c
+    end;
+    k := Cursor.obj_more c flow_keys
+  done;
+  if !seen land 0b11 <> 0b11 then raise Cursor.Mismatch;
+  { queue = !queue; good = !good <> 0; tag = !tag; credit = !credit }
+
+let read_flows c =
+  if not (Cursor.arr_first c) then [||]
+  else begin
+    let rev = ref [ read_flow c ] in
+    while Cursor.arr_more c do
+      rev := read_flow c :: !rev
+    done;
+    Array.of_list (List.rev !rev)
+  end
+
+let sample_keys = [| "slot"; "sel"; "vt"; "lag"; "flows" |]
+
+let read_sample ?(other = Cursor.skip) c =
+  let slot = ref 0 and selected = ref None and virtual_time = ref None in
+  let lag_sum = ref None and flows = ref [||] in
+  let seen = ref 0 in
+  let k = ref (Cursor.obj_first c sample_keys) in
+  while !k <> Cursor.obj_end do
+    if !k < 0 then other c
+    else if !seen land (1 lsl !k) <> 0 then Cursor.skip c
+    else begin
+      seen := !seen lor (1 lsl !k);
+      match !k with
+      | 0 -> slot := Cursor.int c
+      | 1 -> selected := Cursor.optional Cursor.int c
+      | 2 -> virtual_time := Cursor.optional Cursor.float_ext c
+      | 3 -> lag_sum := Cursor.optional Cursor.int c
+      | _ -> flows := read_flows c
+    end;
+    k := Cursor.obj_more c sample_keys
+  done;
+  if !seen land 0b10001 <> 0b10001 then raise Cursor.Mismatch;
+  {
+    slot = !slot;
+    selected = !selected;
+    virtual_time = !virtual_time;
+    lag_sum = !lag_sum;
+    flows = !flows;
+  }
+
+let sample_of_line line = Cursor.parse (fun c -> read_sample c) line
 
 let header_to_string h = Json.to_string ~pretty:false (header_to_json h)
 
@@ -180,9 +232,9 @@ type contents = { hdr : header; samples : sample list }
 
 let load ~path =
   Jsonl.load ~who:"Trace.load" ~schema ~path ~header:header_of_fields
-    ~line:(fun hdr v ->
-      match sample_of_json v with
-      | None -> Jsonl.Undecodable
+    ~line:(fun hdr text ->
+      match sample_of_line text with
+      | None -> Jsonl.refused text
       | Some s when Array.length s.flows <> hdr.n_flows ->
           Jsonl.Contradicts "sample width disagrees with header"
       | Some s -> Jsonl.Decoded s)

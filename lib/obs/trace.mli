@@ -50,13 +50,36 @@ val header_of_json : Wfs_util.Json.t -> header option
 val header_to_string : header -> string
 (** The header line (compact JSON, no trailing newline). *)
 
-val sample_to_json : sample -> Wfs_util.Json.t
-val sample_of_json : Wfs_util.Json.t -> sample option
-val sample_to_string : sample -> string
-val sample_of_string : string -> sample option
-(** [sample_of_string (sample_to_string s)] = [Some s'] with
-    [sample_equal s s'] — qcheck-verified bit-exact round-trip (floats use
-    the shortest decimal restoring the same bits). *)
+(** {1 Sample lines}
+
+    A sample is written and read straight from its fields, with no
+    {!Wfs_util.Json.t} in between, in the compact form
+    [{"slot":..,"sel":..,"vt":..,"lag":..,"flows":[{"q":..,"g":0|1,"tag":..,"cr":..},..]}]
+    where [sel], [vt], [lag], [tag] and [cr] appear only when present and
+    a non-finite [vt] or [tag] is the string ["nan"], ["inf"] or ["-inf"].
+    Reading then writing restores every float bit for bit. *)
+
+val add_sample : Buffer.t -> sample -> unit
+(** Append the sample's compact JSON object, without a newline. *)
+
+val add_sample_members : Buffer.t -> sample -> unit
+(** {!add_sample} without the braces: the members, comma-separated, for
+    a line that carries more fields ([Wfs_xray.Mux] prepends [cell]). *)
+
+val read_sample :
+  ?other:(Wfs_util.Json.Cursor.t -> unit) -> Wfs_util.Json.Cursor.t -> sample
+(** Read one sample object off the cursor.  Members may come in any order
+    with any whitespace.  The first occurrence of a key counts and later
+    ones are skipped.  A missing or mistyped [slot], [flows], [q] or [g],
+    or a flow that is not an object, raises
+    {!Wfs_util.Json.Cursor.Mismatch}; a mistyped optional field reads as
+    absent, and an [Int] is read where a float is expected.  Each member
+    whose key is not a sample key is handed to [other] (default: skip),
+    which must consume its value. *)
+
+val sample_of_line : string -> sample option
+(** One line holding exactly one sample object, as {!read_sample} reads
+    it; [None] otherwise. *)
 
 val flow_equal : flow_sample -> flow_sample -> bool
 val sample_equal : sample -> sample -> bool

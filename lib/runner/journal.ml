@@ -38,7 +38,7 @@ type contents = {
 let load ?(schema = schema) ~path () =
   Jsonl.load ~who:"Journal.load" ~schema ~path
     ~header:(fun params -> Some params)
-    ~line:(fun _ v -> Jsonl.decoded (entry_of_json v))
+    ~line:(Jsonl.tree (fun _ v -> Jsonl.decoded (entry_of_json v)))
   |> Result.map (fun (params, entries) -> { params; entries })
 
 let resume ?(schema = schema) ~who ~path ~params () =

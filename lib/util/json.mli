@@ -11,9 +11,18 @@
     The writer appends to a caller-owned [Buffer.t] ({!to_buffer}), so a
     streaming sink formats each line into one reused buffer with no
     intermediate string; numbers are written digit by digit without the
-    [Printf] interpreter.  Apart from the tree, the reader allocates only
-    for strings that contain escapes and for number tokens other than an
-    optional [-] and 1-18 digits. *)
+    [Printf] interpreter.
+
+    The reader is one lexer, {!Cursor}, with two clients: {!of_string},
+    which builds a tree, and typed line decoders that read fields
+    straight off a cursor with no tree (the [wfs-trace/1] samples and
+    [wfs-xray-trace/1] entries, see [Wfs_obs.Trace] and [Wfs_xray.Mux]).
+    Both accept the same grammar and fail with the same text.  A cursor
+    allocates only for strings that contain escapes, for the float values
+    it returns, and for a number token off its fast paths (see
+    {!Cursor.int} and {!Cursor.float}), which costs one [String.sub] and
+    OCaml's own conversion.  {!of_string} allocates the tree on top, and
+    a [String.sub] per unescaped string. *)
 
 type t =
   | Null
@@ -26,8 +35,9 @@ type t =
 
 (** {1 Numbers}
 
-    The one number writer, shared by {!to_buffer}, {!float_to_string}
-    and the trace CSV writers ([Wfs_obs.Sink], [Wfs_xray.Mux]). *)
+    The one number writer, shared by {!to_buffer}, {!float_to_string},
+    the typed trace sample encoder ([Wfs_obs.Trace]) and the trace CSV
+    writers ([Wfs_obs.Sink], [Wfs_xray.Mux]). *)
 
 val add_int : Buffer.t -> int -> unit
 (** Append the decimal form of an int; the bytes of [string_of_int]. *)
@@ -39,6 +49,11 @@ val add_float : Buffer.t -> float -> unit
     the bits and [%.17g] otherwise.  The bytes are those of
     [Printf.sprintf] with those conversions; non-finite values print as
     [inf], [-inf] and [nan], which are not JSON (see {!of_float_ext}). *)
+
+val add_float_ext : Buffer.t -> float -> unit
+(** {!add_float} for a finite value, otherwise the JSON string ["nan"],
+    ["inf"] or ["-inf"]: the bytes {!to_buffer} writes for
+    {!of_float_ext}. *)
 
 val float_to_string : float -> string
 (** {!add_float} into a fresh string. *)
@@ -64,6 +79,81 @@ val of_string : string -> (t, string) result
     escape takes exactly four hex digits and must name an ASCII
     character, and a number that overflows to an infinite float is
     rejected. *)
+
+(** {1 Pull reading}
+
+    A cursor walks one document in place.  Typed reads raise
+    {!Cursor.Mismatch} when the next value is well-formed but of another
+    type; they then leave the cursor after that value, as if it had been
+    skipped.  Malformed input raises an exception private to this module,
+    which {!Cursor.parse} turns into [None]; {!of_string} is the client
+    to ask for the error text. *)
+
+module Cursor : sig
+  type t
+
+  exception Mismatch
+
+  val parse : (t -> 'a) -> string -> 'a option
+  (** [parse read s] runs [read] on a cursor at the start of [s] and then
+      requires only whitespace to remain.  [None] when [read] raises
+      {!Mismatch} or the input is malformed anywhere up to the point
+      [read] stopped.  So [Some _] implies [of_string s] is [Ok _] when
+      [read] consumes exactly one value. *)
+
+  val obj_first : t -> string array -> int
+  (** Enter an object ({!Mismatch} for any other value).  At its first
+      member's value, the index in the array of that member's key, or
+      [-1] for a key not in it; past the closing brace of [{}],
+      {!obj_end}.  Keys are compared in place, and escaped keys by their
+      decoded text.  The array's strings must hold no quote or backslash.
+      Each member's key is first tried against the entry after the last
+      one matched, so members in the array's order are found at once. *)
+
+  val obj_more : t -> string array -> int
+  (** After a member's value: as {!obj_first}, for the next member. *)
+
+  val obj_end : int
+  (** [-2]: the object has no more members. *)
+
+  val key : t -> string array -> int
+  (** The index in the array of the key of the member just entered, or
+      [-1]: what {!obj_first} or {!obj_more} returned, against another
+      array.  Valid until the member's value is read. *)
+
+  val arr_first : t -> bool
+  (** Enter an array ({!Mismatch} for any other value): [false] past the
+      closing bracket of [[]], otherwise [true] at the first item. *)
+
+  val arr_more : t -> bool
+  (** After an item: [true] at the next item, [false] past the closing
+      bracket. *)
+
+  val skip : t -> unit
+  (** Read and validate one value of any type, building nothing. *)
+
+  val int : t -> int
+  (** An [Int] value, as {!to_int}: a token with no [.], [e] or [E].  One
+      of an optional [-] and digits worth less than [1e18] is read as it
+      is scanned; any other goes to [int_of_string]. *)
+
+  val float : t -> float
+  (** A [Float] or [Int] value, as {!to_float}: an int token reads as its
+      int, so [-0] is [0.0].  A float token of an optional [-] and digits
+      with one [.], at least one digit, at most 15 significant digits, at
+      most 22 after the point and no exponent is read as it is scanned
+      and converted by one division of two exact floats (Clinger's fast
+      path), which rounds as [float_of_string] does; any other goes to
+      [float_of_string]. *)
+
+  val float_ext : t -> float
+  (** As {!float}, or the strings ["nan"], ["inf"], ["-inf"], as
+      {!to_float_ext}. *)
+
+  val optional : (t -> 'a) -> t -> 'a option
+  (** [Some] of a typed scalar read, [None] on {!Mismatch}: the accessor
+      semantics of an optional field ([Option.bind (member k v) to_int]). *)
+end
 
 (** {1 Accessors} *)
 

@@ -12,18 +12,22 @@ let fields_of_header ~schema = function
 
 type writer = { oc : out_channel; buf : Buffer.t }
 
-let append w v =
+let append_with w add x =
   Buffer.clear w.buf;
-  Json.to_buffer ~pretty:false w.buf v;
+  add w.buf x;
   Buffer.add_char w.buf '\n';
   Buffer.output_buffer w.oc w.buf
+
+let append w v = append_with w (Json.to_buffer ~pretty:false) v
 
 let flush w = Stdlib.flush w.oc
 let close w = close_out w.oc
 let close_noerr w = close_out_noerr w.oc
 
+let create_bare ~path = { oc = open_out_bin path; buf = Buffer.create 256 }
+
 let create ~path ~schema fields =
-  let w = { oc = open_out_bin path; buf = Buffer.create 256 } in
+  let w = create_bare ~path in
   append w (header ~schema fields);
   w
 
@@ -62,9 +66,19 @@ let write ~path ~schema fields to_json items =
 
 (* --- reading --- *)
 
-type 'a line = Decoded of 'a | Undecodable | Contradicts of string
+type 'a line =
+  | Decoded of 'a
+  | Undecodable
+  | Not_json of string
+  | Contradicts of string
 
 let decoded = function Some x -> Decoded x | None -> Undecodable
+
+let tree decode h text =
+  match Json.of_string text with Ok v -> decode h v | Error msg -> Not_json msg
+
+let refused text =
+  match Json.of_string text with Ok _ -> Undecodable | Error msg -> Not_json msg
 
 let load ~who ~schema ~path ~header ~line =
   let fail ?(context = []) what =
@@ -93,14 +107,12 @@ let load ~who ~schema ~path ~header ~line =
                             fail "corrupt line before end of file"
                               ~context:(("line", string_of_int n) :: detail)
                       in
-                      match Json.of_string text with
-                      | Error msg -> undecodable [ ("detail", msg) ]
-                      | Ok v -> (
-                          match line h v with
-                          | Decoded x -> go (x :: acc) (n + 1)
-                          | Undecodable -> undecodable []
-                          | Contradicts what ->
-                              fail what ~context:[ ("line", string_of_int n) ]))
+                      match line h text with
+                      | Decoded x -> go (x :: acc) (n + 1)
+                      | Undecodable -> undecodable []
+                      | Not_json msg -> undecodable [ ("detail", msg) ]
+                      | Contradicts what ->
+                          fail what ~context:[ ("line", string_of_int n) ])
                 in
                 go [] 2))
   in

@@ -5,8 +5,9 @@
     [wfs-xray-trace/1], [wfs-causality/1], [wfs-windows/1],
     [wfs-chaos/1-timeline] streams and the [wfs-bench/1-journal] /
     [wfs-bench/1-topo-journal] checkpoint journals are all written by
-    {!create}/{!append} or {!write} and read by {!load}.  The schema
-    modules own only their header fields and line codecs.
+    {!create} with {!append} (or {!append_with}, for a typed encoder) or
+    by {!write}, and read by {!load}.  The schema modules own only their
+    header fields and line codecs.
 
     {b Torn-tail rule.}  A writer appends whole lines, so the one failure
     an interrupted run (a kill mid-write, a full disk) can leave is a
@@ -40,11 +41,16 @@ val fields_of_header : schema:string -> Json.t -> (string * Json.t) list option
 
 type writer
 (** An output channel plus one reused line buffer: each line is
-    formatted by {!Json.to_buffer} straight into the buffer and written
-    with one output call. *)
+    formatted straight into the buffer, by {!Json.to_buffer} or a typed
+    encoder ({!append_with}), and written with one output call. *)
 
 val create : path:string -> schema:string -> (string * Json.t) list -> writer
 (** Create or truncate [path] and write the {!header} line. *)
+
+val create_bare : path:string -> writer
+(** Create or truncate [path] with no header line: for a scratch file of
+    lines that the writing program reads back itself (the x-ray mux's
+    per-cell parts), never for an artifact {!load} reads. *)
 
 val reopen : path:string -> keep:(Json.t -> bool) -> writer
 (** Open an existing file for appending, first applying the torn-tail
@@ -57,6 +63,12 @@ val reopen : path:string -> keep:(Json.t -> bool) -> writer
 val append : writer -> Json.t -> unit
 (** Write one compact line.  Buffered: call {!flush} when the line must
     survive a kill. *)
+
+val append_with : writer -> (Buffer.t -> 'a -> unit) -> 'a -> unit
+(** [append_with w add x] writes the line [add] formats for [x] into the
+    writer's cleared buffer: a typed encoder's path to the same framing,
+    with no {!Json.t} in between.  [add] must write one compact JSON
+    value and no newline. *)
 
 val flush : writer -> unit
 val close : writer -> unit
@@ -77,22 +89,39 @@ val write :
 
 type 'a line =
   | Decoded of 'a
-  | Undecodable  (** dropped when last, refused otherwise *)
+  | Undecodable  (** JSON, but not a line of this schema: dropped when
+                     last, refused otherwise *)
+  | Not_json of string
+      (** not JSON at all, with {!Json.of_string}'s message: dropped when
+          last, refused otherwise with the message as [detail] *)
   | Contradicts of string
       (** contradicts the header: always refused, with this text *)
 
 val decoded : 'a option -> 'a line
 (** [Some x] is [Decoded x], [None] is [Undecodable]. *)
 
+val tree : ('h -> Json.t -> 'a line) -> 'h -> string -> 'a line
+(** The line decoder of a schema that reads a parsed tree: [Not_json]
+    when {!Json.of_string} refuses the line, otherwise the tree
+    decoder's verdict. *)
+
+val refused : string -> 'a line
+(** The verdict on a line a typed decoder could not read: [Not_json]
+    when {!Json.of_string} refuses it, [Undecodable] otherwise.  A typed
+    decoder that returns this for every line it cannot read, and decodes
+    only lines {!Json.of_string} accepts, classifies every line as
+    {!tree} over the equivalent tree decoder would. *)
+
 val load :
   who:string ->
   schema:string ->
   path:string ->
   header:((string * Json.t) list -> 'h option) ->
-  line:('h -> Json.t -> 'a line) ->
+  line:('h -> string -> 'a line) ->
   ('h * 'a list, Error.t) result
 (** Stream [path] line by line: check the header's schema, decode the
     other header fields with [header] ([None] means not a [schema]
-    header), then decode each line with [line] under the torn-tail rule
-    above.  Lines that are not JSON count as [Undecodable].  The decoded
-    lines come back in file order. *)
+    header), then hand each further line's text, without its newline, to
+    [line] and apply the torn-tail rule above to its verdict.  Typed
+    decoders read the text directly; tree decoders go through {!tree}.
+    The decoded lines come back in file order. *)

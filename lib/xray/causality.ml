@@ -160,7 +160,7 @@ let write ~path events = Jsonl.write ~path ~schema [] event_to_json events
 let load ~path =
   Jsonl.load ~who:"Causality.load" ~schema ~path
     ~header:(fun _ -> Some ())
-    ~line:(fun () v -> Jsonl.decoded (event_of_json v))
+    ~line:(Jsonl.tree (fun () v -> Jsonl.decoded (event_of_json v)))
   |> Result.map snd
 
 (* --- per-flow replay helpers --- *)

@@ -2,7 +2,6 @@ module Json = Wfs_util.Json
 module Error = Wfs_util.Error
 module Jsonl = Wfs_util.Jsonl
 module Sched = Wfs_core.Wireless_sched
-module Channel = Wfs_channel.Channel
 module Trace = Wfs_obs.Trace
 
 let schema = "wfs-xray-trace/1"
@@ -15,48 +14,83 @@ let reserved = [ "schema"; "cells"; "n_flows"; "stride" ]
 
 (* --- line codec.  A roster line is {"cell":c,"slot":s,"roster":[gids]};
    a sample line is the wfs-trace/1 sample object with a "cell" field
-   prepended (Trace.sample_of_json ignores the extra key, so the sample
-   codec is reused bit-exactly). --- *)
+   prepended, written and read by Trace's typed sample codec. --- *)
 
-let entry_to_json = function
+module Cursor = Json.Cursor
+
+let add_entry buf = function
   | Roster { cell; slot; gids } ->
-      Json.Obj
-        [
-          ("cell", Json.Int cell);
-          ("slot", Json.Int slot);
-          ("roster", Json.Arr (Array.to_list (Array.map (fun g -> Json.Int g) gids)));
-        ]
-  | Sample { cell; sample } -> (
-      match Trace.sample_to_json sample with
-      | Json.Obj fields -> Json.Obj (("cell", Json.Int cell) :: fields)
-      | other -> other)
+      Json.to_buffer ~pretty:false buf
+        (Json.Obj
+           [
+             ("cell", Json.Int cell);
+             ("slot", Json.Int slot);
+             ("roster", Json.Arr (Array.to_list (Array.map (fun g -> Json.Int g) gids)));
+           ])
+  | Sample { cell; sample } ->
+      Buffer.add_string buf "{\"cell\":";
+      Json.add_int buf cell;
+      Buffer.add_char buf ',';
+      Trace.add_sample_members buf sample;
+      Buffer.add_char buf '}'
 
-let entry_of_json v =
-  let ( let* ) = Option.bind in
-  let* cell = Option.bind (Json.member "cell" v) Json.to_int in
-  match Json.member "roster" v with
-  | Some rv ->
-      let* slot = Option.bind (Json.member "slot" v) Json.to_int in
-      let* gids = Json.to_list rv in
-      let* gids =
-        List.fold_left
-          (fun acc gv ->
-            match acc with
-            | None -> None
-            | Some acc -> Option.map (fun g -> g :: acc) (Json.to_int gv))
-          (Some []) gids
-      in
-      Some (Roster { cell; slot; gids = Array.of_list (List.rev gids) })
-  | None ->
-      let* sample = Trace.sample_of_json v in
-      Some (Sample { cell; sample })
+let entry_to_string e =
+  let buf = Buffer.create 256 in
+  add_entry buf e;
+  Buffer.contents buf
 
-let entry_to_string e = Json.to_string ~pretty:false (entry_to_json e)
+let read_ints c =
+  if not (Cursor.arr_first c) then [||]
+  else begin
+    let rev = ref [ Cursor.int c ] in
+    while Cursor.arr_more c do
+      rev := Cursor.int c :: !rev
+    done;
+    Array.of_list (List.rev !rev)
+  end
 
+let roster_keys = [| "cell"; "slot"; "roster" |]
+
+(* A roster line: the first [cell], [slot] and [roster] count, the last
+   an array of ints; other members are skipped. *)
+let read_roster c =
+  let cell = ref 0 and slot = ref 0 and gids = ref [||] and seen = ref 0 in
+  let k = ref (Cursor.obj_first c roster_keys) in
+  while !k <> Cursor.obj_end do
+    if !k < 0 || !seen land (1 lsl !k) <> 0 then Cursor.skip c
+    else begin
+      seen := !seen lor (1 lsl !k);
+      match !k with
+      | 0 -> cell := Cursor.int c
+      | 1 -> slot := Cursor.int c
+      | _ -> gids := read_ints c
+    end;
+    k := Cursor.obj_more c roster_keys
+  done;
+  if !seen <> 0b111 then raise Cursor.Mismatch;
+  Roster { cell = !cell; slot = !slot; gids = !gids }
+
+(* A line is a roster when it has a "roster" member and a sample
+   otherwise; both need an int "cell".  Sample lines, the common case,
+   take one pass: the sample reader hands "cell" and "roster" to [other].
+   A line that names a roster, or fails as a sample, is read again as a
+   roster. *)
 let entry_of_string line =
-  match Json.of_string line with
-  | Error _ -> None
-  | Ok v -> entry_of_json v
+  let cell = ref 0 and seen = ref 0 in
+  let other c =
+    match Cursor.key c roster_keys with
+    | 0 when !seen land 0b1 = 0 ->
+        seen := !seen lor 0b1;
+        cell := Cursor.int c
+    | 2 ->
+        seen := !seen lor 0b10;
+        Cursor.skip c
+    | _ -> Cursor.skip c
+  in
+  match Cursor.parse (Trace.read_sample ~other) line with
+  | Some sample when !seen = 0b1 -> Some (Sample { cell = !cell; sample })
+  | Some _ when !seen = 0 -> None
+  | Some _ | None -> Cursor.parse read_roster line
 
 let entry_equal a b =
   match (a, b) with
@@ -82,7 +116,7 @@ let entry_cell = function Roster { cell; _ } | Sample { cell; _ } -> cell
    have produced.  Rosters are only written from the sequential barrier
    (cell install/rebuild), samples only from the owning cell's domain. --- *)
 
-type part = { path : string; oc : out_channel; buf : Buffer.t }
+type part = { path : string; w : Jsonl.writer }
 
 type t = {
   cells : int;
@@ -105,16 +139,11 @@ let create ?(stride = 1) ?(params = []) ~cells ~part_base () =
   let parts =
     Array.init cells (fun c ->
         let path = part_path ~part_base c in
-        { path; oc = open_out_bin path; buf = Buffer.create 256 })
+        { path; w = Jsonl.create_bare ~path })
   in
   { cells; stride; params; parts; finished = false }
 
-let write_entry t e =
-  let p = t.parts.(entry_cell e) in
-  Buffer.clear p.buf;
-  Json.to_buffer ~pretty:false p.buf (entry_to_json e);
-  Buffer.add_char p.buf '\n';
-  Buffer.output_buffer p.oc p.buf
+let write_entry t e = Jsonl.append_with t.parts.(entry_cell e).w add_entry e
 
 let note_roster t ~cell ~slot ~gids =
   if t.finished then Error.bad_config ~who:"Mux.note_roster" "mux already finished";
@@ -127,39 +156,18 @@ let probe t ~cell ~n_flows (sched : Sched.instance) :
   if cell < 0 || cell >= t.cells then
     Error.bad_config ~who:"Mux.probe" "cell out of range";
   if n_flows < 1 then Error.bad_config ~who:"Mux.probe" "n_flows must be >= 1";
-  let p = sched.Sched.probe in
-  let tag_of = p.Sched.finish_tag in
-  let credit_of = p.Sched.credit in
-  let vt_of = p.Sched.virtual_time in
-  let lag_of = p.Sched.lag_sum in
-  let queue_of = sched.Sched.queue_length in
+  let sample_of = Wfs_obs.Probe.sampler ~n_flows sched in
   let stride = t.stride in
   fun ~slot ~selected ~states ->
-    if slot mod stride = 0 then begin
-      let flows =
-        Array.init n_flows (fun i ->
-            {
-              Trace.queue = queue_of i;
-              good = Channel.state_is_good states.(i);
-              tag = (match tag_of with None -> None | Some f -> Some (f i));
-              credit =
-                (match credit_of with
-                | None -> None
-                | Some f ->
-                    let balance, _, _ = f i in
-                    Some balance);
-            })
-      in
-      let virtual_time =
-        match vt_of with None -> None | Some f -> Some (f ())
-      in
-      let lag_sum = match lag_of with None -> None | Some f -> Some (f ()) in
-      write_entry t
-        (Sample
-           { cell; sample = { Trace.slot; selected; virtual_time; lag_sum; flows } })
-    end
+    if slot mod stride = 0 then
+      write_entry t (Sample { cell; sample = sample_of ~slot ~selected ~states })
 
-let close_parts t = Array.iter (fun p -> flush p.oc; close_out_noerr p.oc) t.parts
+let close_parts t =
+  Array.iter
+    (fun p ->
+      Jsonl.flush p.w;
+      Jsonl.close_noerr p.w)
+    t.parts
 
 let remove_parts t =
   Array.iter (fun p -> try Sys.remove p.path with Sys_error _ -> ()) t.parts
@@ -179,19 +187,17 @@ let abort t =
    byte-identical across --jobs because the parts themselves are — every
    cell's stream depends only on that cell's deterministic state. --- *)
 
-type cursor = { ic : in_channel; mutable cur : (Json.t * entry) option }
+(* A part line is copied to the merged stream byte for byte: the parts
+   and the merged stream share one compact writer.  It is decoded only for
+   its (slot, cell) key and the CSV row. *)
+type cursor = { ic : in_channel; mutable cur : (string * entry) option }
 
 let advance_cursor ~who cu =
   match input_line cu.ic with
   | exception End_of_file -> cu.cur <- None
   | line -> (
-      let decoded =
-        match Json.of_string line with
-        | Ok v -> Option.map (fun e -> (v, e)) (entry_of_json v)
-        | Error _ -> None
-      in
-      match decoded with
-      | Some _ -> cu.cur <- decoded
+      match entry_of_string line with
+      | Some e -> cu.cur <- Some (line, e)
       | None -> Error.invalidf who "corrupt part line during merge: %s" line)
 
 (* CSV rendering of the merged timeline: one row per sample, flows mapped
@@ -319,8 +325,10 @@ let finish t ~n_flows ?jsonl ?csv () =
                     let cu = cursors.(c) in
                     (match cu.cur with
                     | None -> ()
-                    | Some (v, e) -> (
-                        Option.iter (fun w -> Jsonl.append w v) jout;
+                    | Some (line, e) -> (
+                        Option.iter
+                          (fun w -> Jsonl.append_with w Buffer.add_string line)
+                          jout;
                         match e with
                         | Roster { cell; gids; _ } -> rosters.(cell) <- Some gids
                         | Sample { cell; sample } ->
@@ -358,9 +366,9 @@ let load ~path =
           List.filter (fun (k, _) -> not (List.exists (String.equal k) reserved)) fields
         in
         Some (cells, n_flows, stride, params))
-    ~line:(fun (cells, _, _, _) v ->
-      match entry_of_json v with
-      | None -> Jsonl.Undecodable
+    ~line:(fun (cells, _, _, _) text ->
+      match entry_of_string text with
+      | None -> Jsonl.refused text
       | Some e when entry_cell e < 0 || entry_cell e >= cells ->
           Jsonl.Contradicts "entry cell outside header cells"
       | Some e -> Jsonl.Decoded e)

@@ -14,8 +14,8 @@
 
     The merged stream is line-oriented: a JSON header line ([schema],
     [cells], [n_flows], [stride], free-form params), then one compact JSON
-    object per entry.  Sample lines reuse the wfs-trace/1 sample codec
-    bit-exactly, with a [cell] field prepended; roster lines
+    object per entry.  Sample lines reuse the typed wfs-trace/1 sample
+    codec bit-exactly, with a [cell] field prepended; roster lines
     [{"cell":c,"slot":s,"roster":[gids]}] map each cell's local flow
     indices to global ids as membership changes across handoffs. *)
 
@@ -30,12 +30,21 @@ type entry =
       (** one sampled slot of the cell's session; flow indices are
           cell-local (resolve through the latest roster) *)
 
-val entry_to_json : entry -> Wfs_util.Json.t
-val entry_of_json : Wfs_util.Json.t -> entry option
+val add_entry : Buffer.t -> entry -> unit
+(** Append the entry's compact JSON line, without a newline.  A sample is
+    written by {!Wfs_obs.Trace.add_sample_members}, with no
+    {!Wfs_util.Json.t} in between. *)
+
 val entry_to_string : entry -> string
+(** {!add_entry} into a fresh string. *)
 
 val entry_of_string : string -> entry option
-(** Bit-exact round-trip of {!entry_to_string} (qcheck-verified). *)
+(** Decode one line: a roster when it has a [roster] member, a sample
+    (read by {!Wfs_obs.Trace.read_sample}, which skips [cell]) otherwise;
+    both need an int [cell].  It accepts the lines, and gives the values,
+    of the accessor rules of a parsed tree: first occurrence wins, unknown
+    keys are skipped.  Bit-exact round-trip of {!entry_to_string}
+    (qcheck-verified). *)
 
 val entry_equal : entry -> entry -> bool
 val entry_slot : entry -> int

@@ -211,5 +211,5 @@ let load ~path =
       match Option.bind (List.assoc_opt "window" fields) Json.to_int with
       | Some window when window >= 1 -> Some window
       | Some _ | None -> None)
-    ~line:(fun _ v -> Jsonl.decoded (window_of_json v))
+    ~line:(Jsonl.tree (fun _ v -> Jsonl.decoded (window_of_json v)))
   |> Result.map (fun (window, windows) -> { window; windows })

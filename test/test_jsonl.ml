@@ -63,9 +63,10 @@ let rows =
         count_of (fun path ->
             Result.map (fun c -> c.Trace.samples) (Trace.load ~path));
       contradiction =
-        Some
-          (Trace.sample_to_string
-             { (sample 3) with Trace.flows = Array.make 2 (sample 3).Trace.flows.(0) });
+        (let buf = Buffer.create 64 in
+         Trace.add_sample buf
+           { (sample 3) with Trace.flows = Array.make 2 (sample 3).Trace.flows.(0) };
+         Some (Buffer.contents buf));
     };
     {
       name = "xray-trace";
@@ -261,8 +262,175 @@ let contradiction row line () =
             (Some (string_of_int (List.length lines + 1)))
             (List.assoc_opt "line" e.Error.context))
 
+(* --- the typed decoders against the tree oracle (test/trace_oracle.ml) --- *)
+
+module Oracle = Trace_oracle
+
+(* Under [dune runtest] the tests run in test/; by hand, from the root. *)
+let golden name =
+  match
+    List.find_opt Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+  with
+  | Some path -> path
+  | None -> Alcotest.failf "golden file %s not found" name
+
+(* Every byte-prefix of every line of the golden traces decodes as it does
+   through the tree.  The prefixes of the first sample lines are also
+   loaded from a file, as its middle and as its final line, and must give
+   the tree loader's samples or its error, line number and detail. *)
+let golden_prefixes ~file ~decode ~decode' ~eq ~load ~load' ~contents_eq () =
+  let header, lines =
+    match read_lines (golden file) with
+    | header :: lines -> (header, lines)
+    | [] -> Alcotest.failf "%s is empty" file
+  in
+  List.iteri
+    (fun i line ->
+      for k = 0 to String.length line do
+        let prefix = String.sub line 0 k in
+        if not (Oracle.option_equal eq (decode prefix) (decode' prefix)) then
+          Alcotest.failf "%s line %d: decoders disagree on %S" file (i + 2) prefix;
+        if i < 3 then
+          let before = List.filteri (fun j _ -> j < i) lines in
+          if
+            not
+              (Oracle.loads_agree ~eq:contents_eq ~load ~load' ~header ~before
+                 ~after:line prefix)
+          then Alcotest.failf "%s line %d: loaders disagree on %S" file (i + 2) prefix
+      done)
+    lines
+
+let trace_prefixes file =
+  golden_prefixes ~file ~decode:Trace.sample_of_line ~decode':Oracle.sample_of_string
+    ~eq:Trace.sample_equal ~load:Trace.load ~load':Oracle.load_trace
+    ~contents_eq:Oracle.trace_equal
+
+let mux_prefixes file =
+  golden_prefixes ~file ~decode:Mux.entry_of_string ~decode':Oracle.entry_of_string
+    ~eq:Mux.entry_equal ~load:Mux.load ~load':Oracle.load_mux
+    ~contents_eq:Oracle.mux_equal
+
+(* Number tokens: printed floats in several formats, and digit strings
+   with up to 25 digits on either side of the point. *)
+let float_token_gen =
+  QCheck.Gen.(
+    let printed =
+      map2
+        (fun x fmt -> fmt x)
+        (map (fun x -> if Float.is_finite x then x else 1.5) Oracle.float_gen)
+        (oneofl
+           [
+             Json.float_to_string;
+             Printf.sprintf "%.17g";
+             Printf.sprintf "%.15g";
+             Printf.sprintf "%.12g";
+             Printf.sprintf "%.1f";
+             Printf.sprintf "%.3e";
+             Printf.sprintf "%.16e";
+           ])
+    in
+    let digits =
+      map
+        (fun ((neg, whole), frac) -> (if neg then "-" else "") ^ whole ^ "." ^ frac)
+        (pair
+           (pair bool (string_size ~gen:numeral (0 -- 17)))
+           (string_size ~gen:numeral (0 -- 25)))
+    in
+    let fraction = map (fun k -> Printf.sprintf "0.%022d" k) (0 -- 1_000_000_000) in
+    frequency [ (3, printed); (3, digits); (1, fraction) ])
+
+let prop_cursor_float =
+  QCheck.Test.make ~name:"cursor float read equals float_of_string" ~count:5000
+    (QCheck.make ~print:Fun.id float_token_gen)
+    (fun tok ->
+      (* An int token reads as its int, as [Json.to_float (Int i)] does:
+         ["-0"] is [0.0]. *)
+      let expected =
+        if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) tok then
+          match float_of_string_opt tok with
+          | Some x when Float.is_finite x -> Some x
+          | Some _ | None -> None
+        else Option.map float_of_int (int_of_string_opt tok)
+      in
+      Oracle.option_equal
+        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+        (Json.Cursor.parse Json.Cursor.float tok)
+        expected)
+
+(* Int tokens around both ends of the int fast path and of the int range:
+   digit strings of 1-21 digits and the edges written out. *)
+let int_token_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map2
+            (fun neg digits -> (if neg then "-" else "") ^ digits)
+            bool
+            (string_size ~gen:numeral (1 -- 21)) );
+        ( 1,
+          oneofl
+            [
+              string_of_int max_int; string_of_int min_int; "4611686018427387904";
+              "-4611686018427387905"; "5000000000000000000"; "999999999999999999";
+              "1000000000000000000"; "99999999999999999"; "100000000000000000"; "-0";
+              "+5"; "0000000000000000000001"; "-";
+            ] );
+      ])
+
+let prop_cursor_int =
+  QCheck.Test.make ~name:"cursor int read equals int_of_string" ~count:5000
+    (QCheck.make ~print:Fun.id int_token_gen)
+    (fun tok ->
+      Oracle.option_equal Int.equal
+        (Json.Cursor.parse Json.Cursor.int tok)
+        (int_of_string_opt tok))
+
+(* [Cursor.key] names the member just entered against a second table,
+   whether [obj_first]/[obj_more] matched its key in place (the table's
+   order) or lexed it (another order, an escape, a key one byte longer or
+   shorter than a table entry). *)
+let cursor_key_lookup () =
+  let keys = [| "a"; "bb"; "c" |] and other = [| "c"; "x"; "bb"; "a" |] in
+  let walk line =
+    Json.Cursor.parse
+      (fun c ->
+        let seen = ref [] in
+        let k = ref (Json.Cursor.obj_first c keys) in
+        while !k <> Json.Cursor.obj_end do
+          seen := (!k, Json.Cursor.key c other) :: !seen;
+          Json.Cursor.skip c;
+          k := Json.Cursor.obj_more c keys
+        done;
+        List.rev !seen)
+      line
+  in
+  let check line expected =
+    Alcotest.(check (option (list (pair int int)))) line (Some expected) (walk line)
+  in
+  check {|{"a":1,"bb":2,"c":3}|} [ (0, 3); (1, 2); (2, 0) ];
+  check {|{"c":1,"bb":2,"a":3}|} [ (2, 0); (1, 2); (0, 3) ];
+  check {|{"a":1,"b":2,"bbb":3,"c":4}|} [ (0, 3); (-1, -1); (-1, -1); (2, 0) ];
+  check {|{ "a" :1, "b\u0062":2,"\u0063":3,"x":4}|} [ (0, 3); (1, 2); (2, 0); (-1, 1) ];
+  Alcotest.(check (option (list (pair int int)))) "truncated key" None (walk {|{"a":1,"bb|})
+
+let oracle_suite =
+  [
+    Alcotest.test_case "trace: golden line prefixes decode as the oracle" `Quick
+      (trace_prefixes "trace-iwfq-e3.jsonl");
+    Alcotest.test_case "trace: cifq golden line prefixes decode as the oracle" `Quick
+      (trace_prefixes "trace-cifq-e1.jsonl");
+    Alcotest.test_case "xray-trace: golden line prefixes decode as the oracle" `Quick
+      (mux_prefixes "topo-cifq-e1.xray.jsonl");
+    QCheck_alcotest.to_alcotest prop_cursor_float;
+    QCheck_alcotest.to_alcotest prop_cursor_int;
+    Alcotest.test_case "cursor key lookup against a second table" `Quick cursor_key_lookup;
+  ]
+
 let suite =
-  List.concat_map
+  oracle_suite
+  @ List.concat_map
     (fun row ->
       let case what f = Alcotest.test_case (row.name ^ ": " ^ what) `Quick (f row) in
       [

@@ -25,56 +25,66 @@ let with_temp_file ?(suffix = ".trace") f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
-(* --- generators --- *)
+(* --- wfs-trace/1 sample codec: the typed codec against the tree oracle
+   of test/trace_oracle.ml --- *)
 
-let float_gen =
-  (* Ordinary magnitudes plus every special the codec must preserve. *)
-  QCheck.Gen.(
-    frequency
-      [
-        (8, float_bound_exclusive 1e6);
-        (2, map Float.neg (float_bound_exclusive 1e6));
-        (1, return Float.nan);
-        (1, return Float.infinity);
-        (1, return Float.neg_infinity);
-        (1, return 0.1);
-      ])
+module Oracle = Trace_oracle
 
-let flow_gen =
-  QCheck.Gen.(
-    map
-      (fun ((queue, good), (tag, credit)) -> { Trace.queue; good; tag; credit })
-      (pair
-         (pair (0 -- 1000) bool)
-         (pair (opt float_gen) (opt (-100 -- 100)))))
+let sample_arb = QCheck.make Oracle.sample_gen
 
-let sample_gen =
-  QCheck.Gen.(
-    map
-      (fun ((slot, selected), ((vt, lag), flows)) ->
-        {
-          Trace.slot;
-          selected;
-          virtual_time = vt;
-          lag_sum = lag;
-          flows = Array.of_list flows;
-        })
-      (pair
-         (pair (0 -- 1_000_000) (opt (0 -- 32)))
-         (pair
-            (pair (opt float_gen) (opt (-1000 -- 1000)))
-            (list_size (1 -- 8) flow_gen))))
+let sample_line s =
+  let buf = Buffer.create 256 in
+  Trace.add_sample buf s;
+  Buffer.contents buf
 
-let sample_arb = QCheck.make sample_gen
-
-(* --- wfs-trace/1 round-trips --- *)
-
+(* The typed codec writes the oracle's bytes, and reads them back to the
+   sample the oracle reads. *)
 let prop_sample_roundtrip =
   QCheck.Test.make ~name:"trace sample JSONL round-trip is bit-exact"
     ~count:500 sample_arb (fun s ->
-      match Trace.sample_of_string (Trace.sample_to_string s) with
-      | Some s' -> Trace.sample_equal s s'
-      | None -> false)
+      let line = sample_line s in
+      String.equal line (Oracle.sample_to_string s)
+      &&
+      match (Trace.sample_of_line line, Oracle.sample_of_string line) with
+      | Some s', Some s'' -> Trace.sample_equal s s' && Trace.sample_equal s' s''
+      | _ -> false)
+
+let mutated_sample_arb =
+  QCheck.make ~print:Fun.id
+    QCheck.Gen.(Oracle.sample_gen >>= fun s -> Oracle.mutated_line (Oracle.sample_to_json s))
+
+let prop_mutated_sample_lines =
+  QCheck.Test.make ~name:"typed sample decoder agrees with the oracle on mutated lines"
+    ~count:2000 mutated_sample_arb (fun line ->
+      Oracle.option_equal Trace.sample_equal (Trace.sample_of_line line)
+        (Oracle.sample_of_string line))
+
+(* The header's width is mostly the generated sample's, so both the
+   torn-tail rule and the width contradiction are reached. *)
+let prop_mutated_trace_files =
+  QCheck.Test.make ~name:"Trace.load agrees with the tree loader on mutated lines"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, l) -> Printf.sprintf "n_flows %d: %s" n l)
+       QCheck.Gen.(
+         Oracle.sample_gen >>= fun s ->
+         pair
+           (map (fun d -> max 1 (Array.length s.Trace.flows + d)) (oneofl [ 0; 0; 0; 1; -1 ]))
+           (Oracle.mutated_line (Oracle.sample_to_json s))))
+    (fun (n_flows, line) ->
+      let valid =
+        sample_line
+          {
+            Trace.slot = 0;
+            selected = None;
+            virtual_time = None;
+            lag_sum = None;
+            flows = Array.make n_flows { Trace.queue = 1; good = true; tag = None; credit = None };
+          }
+      in
+      Oracle.loads_agree ~eq:Oracle.trace_equal ~load:Trace.load ~load':Oracle.load_trace
+        ~header:(Trace.header_to_string (Trace.header ~n_flows ()))
+        ~before:[ valid ] ~after:valid line)
 
 let prop_header_roundtrip =
   QCheck.Test.make ~name:"trace header round-trip" ~count:200
@@ -128,10 +138,10 @@ let test_load_refuses_mid_file_corruption () =
       let oc = open_out path in
       output_string oc (Trace.header_to_string hdr);
       output_char oc '\n';
-      output_string oc (Trace.sample_to_string (sample ~slot:0));
+      output_string oc (sample_line (sample ~slot:0));
       output_char oc '\n';
       output_string oc "not json at all\n";
-      output_string oc (Trace.sample_to_string (sample ~slot:2));
+      output_string oc (sample_line (sample ~slot:2));
       output_char oc '\n';
       close_out oc;
       match Trace.load ~path with
@@ -146,9 +156,9 @@ let test_load_refuses_flow_count_mismatch () =
       output_string oc (Trace.header_to_string hdr);
       output_char oc '\n';
       (* one flow in the sample, two promised by the header *)
-      output_string oc (Trace.sample_to_string (sample ~slot:0));
+      output_string oc (sample_line (sample ~slot:0));
       output_char oc '\n';
-      output_string oc (Trace.sample_to_string (sample ~slot:1));
+      output_string oc (sample_line (sample ~slot:1));
       output_char oc '\n';
       close_out oc;
       match Trace.load ~path with
@@ -341,6 +351,8 @@ let test_probe_validation () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_sample_roundtrip;
+    QCheck_alcotest.to_alcotest prop_mutated_sample_lines;
+    QCheck_alcotest.to_alcotest prop_mutated_trace_files;
     QCheck_alcotest.to_alcotest prop_header_roundtrip;
     Alcotest.test_case "load tolerates a torn final line" `Quick
       test_load_tolerates_torn_tail;

@@ -129,11 +129,7 @@ let window_gen =
             (pair (0 -- 100_000) (0 -- 100_000))
             (pair (pair (0 -- 100_000) (0 -- 100_000)) float_gen))))
 
-let flow_sample_gen =
-  QCheck.Gen.(
-    map
-      (fun ((queue, good), (tag, credit)) -> { Trace.queue; good; tag; credit })
-      (pair (pair (0 -- 1000) bool) (pair (opt float_gen) (opt (-100 -- 100)))))
+module Oracle = Trace_oracle
 
 let entry_gen =
   QCheck.Gen.(
@@ -145,27 +141,7 @@ let entry_gen =
               Mux.Roster { cell; slot; gids = Array.of_list gids })
             (pair (pair (0 -- 64) (0 -- 1_000_000)) (list_size (0 -- 8) (0 -- 256)))
         );
-        ( 3,
-          map
-            (fun (cell, ((slot, selected), ((vt, lag), flows))) ->
-              Mux.Sample
-                {
-                  cell;
-                  sample =
-                    {
-                      Trace.slot;
-                      selected;
-                      virtual_time = vt;
-                      lag_sum = lag;
-                      flows = Array.of_list flows;
-                    };
-                })
-            (pair (0 -- 64)
-               (pair
-                  (pair (0 -- 1_000_000) (opt (0 -- 32)))
-                  (pair
-                     (pair (opt float_gen) (opt (-1000 -- 1000)))
-                     (list_size (1 -- 8) flow_sample_gen)))) );
+        (3, map2 (fun cell sample -> Mux.Sample { cell; sample }) (0 -- 64) Oracle.sample_gen);
       ])
 
 (* --- codec round-trips --- *)
@@ -184,12 +160,39 @@ let prop_window_roundtrip =
       | Some w' -> Windowed.window_equal w w'
       | None -> false)
 
+(* The typed codec writes the oracle's bytes, and reads them back to the
+   entry the oracle reads. *)
 let prop_entry_roundtrip =
   QCheck.Test.make ~name:"xray-trace entry JSONL round-trip is bit-exact"
     ~count:500 (QCheck.make entry_gen) (fun e ->
-      match Mux.entry_of_string (Mux.entry_to_string e) with
-      | Some e' -> Mux.entry_equal e e'
-      | None -> false)
+      let line = Mux.entry_to_string e in
+      String.equal line (Oracle.entry_to_string e)
+      &&
+      match (Mux.entry_of_string line, Oracle.entry_of_string line) with
+      | Some e', Some e'' -> Mux.entry_equal e e' && Mux.entry_equal e' e''
+      | _ -> false)
+
+(* Mutations of roster and sample lines; the mutator also moves "roster"
+   keys onto sample lines and "cell" keys anywhere. *)
+let mutated_entry_gen =
+  QCheck.Gen.(entry_gen >>= fun e -> Oracle.mutated_line (Oracle.entry_to_json e))
+
+let prop_mutated_entry_lines =
+  QCheck.Test.make ~name:"typed xray-trace decoder agrees with the oracle on mutated lines"
+    ~count:2000 (QCheck.make ~print:Fun.id mutated_entry_gen) (fun line ->
+      Oracle.option_equal Mux.entry_equal (Mux.entry_of_string line)
+        (Oracle.entry_of_string line))
+
+let prop_mutated_mux_files =
+  QCheck.Test.make ~name:"Mux.load agrees with the tree loader on mutated lines" ~count:300
+    (QCheck.make ~print:Fun.id mutated_entry_gen) (fun line ->
+      let valid = Mux.entry_to_string (Mux.Roster { cell = 1; slot = 0; gids = [| 0 |] }) in
+      Oracle.loads_agree ~eq:Oracle.mux_equal ~load:Mux.load ~load':Oracle.load_mux
+        ~header:
+          (Json.to_string ~pretty:false
+             (Wfs_util.Jsonl.header ~schema:Mux.schema
+                [ ("cells", Json.Int 32); ("n_flows", Json.Int 8); ("stride", Json.Int 1) ]))
+        ~before:[ valid ] ~after:valid line)
 
 let prop_causality_file_roundtrip =
   QCheck.Test.make ~name:"causality write/load round-trips event lists"
@@ -550,6 +553,15 @@ let test_merged_stream_is_well_formed () =
               (true, None) c.Mux.entries
           in
           check_bool "merge order (slot, cell)" true ok;
+          (* The merge copies part lines byte for byte: each line is the
+             tree encoding of its entry, as a re-encoding merge wrote. *)
+          let lines =
+            String.split_on_char '\n' (read_file jsonl)
+            |> List.tl
+            |> List.filter (fun l -> l <> "")
+          in
+          check_bool "merged lines are the tree encoding" true
+            (List.equal String.equal lines (List.map Oracle.entry_to_string c.Mux.entries));
           (* Rosters precede their cell's samples: a sample must resolve
              through an already-seen roster. *)
           let seen = Hashtbl.create 8 in
@@ -591,6 +603,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_event_roundtrip;
     QCheck_alcotest.to_alcotest prop_window_roundtrip;
     QCheck_alcotest.to_alcotest prop_entry_roundtrip;
+    QCheck_alcotest.to_alcotest prop_mutated_entry_lines;
+    QCheck_alcotest.to_alcotest prop_mutated_mux_files;
     QCheck_alcotest.to_alcotest prop_causality_file_roundtrip;
     Alcotest.test_case "causality: torn tail tolerated" `Quick
       test_causality_torn_tail;
