@@ -35,10 +35,13 @@ check:
 bench:
 	dune exec bench/main.exe -- --quick
 
-# End-to-end macro-benchmark only (slots/s per registry scheduler); see
-# docs/PERF.md for baselines and methodology.
+# The repository benchmark (wfsbench/): four workloads, repeated runs,
+# slots/s with quartiles, setup time and peak heap; see docs/PERF.md.
 perf:
-	dune exec bench/main.exe -- --macro-only --seed 42
+	@for w in cell-dense cell-sparse topo-saturated cell-observed; do \
+	  python3 wfsbench/run.py --workload $$w --seed 1 --seconds 10 --trace 0 \
+	    || exit 1; \
+	done
 
 # Regenerate the golden CSVs and trace artifacts in a scratch dir and
 # require byte-identity with the committed ones (the perf work must never

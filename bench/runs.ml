@@ -163,13 +163,34 @@ let exec ~opts job_list =
         end)
       job_list
   in
-  let cached = Hashtbl.create 256 in
-  let writer =
-    Option.map (open_journal ~params:opts.params ~cached) opts.resume
+  (* Deterministic watchdog: the slot loop is horizon-bounded, so a job's
+     cost is declared up front and an over-budget job is refused before
+     the journal is consulted — a cached result never slips past the
+     budget a fresh sweep would enforce. *)
+  let refusal (j : job) =
+    match opts.max_slots with
+    | Some cap when j.slots > cap ->
+        Some
+          (Error.v Error.Sim_fault ~who:"Runs.exec" "slot budget exceeded"
+             ~context:
+               [
+                 ("key", j.key);
+                 ("slots", string_of_int j.slots);
+                 ("max_slots", string_of_int cap);
+               ])
+    | _ -> None
   in
+  let cached = Hashtbl.create 256 in
+  (* The monitors' setting is part of what a result claims (that the
+     paper properties were checked while it ran), so it is stamped into
+     the journal header with the sweep settings. *)
+  let params = opts.params @ [ ("invariants", Json.Bool opts.invariants) ] in
+  let writer = Option.map (open_journal ~params ~cached) opts.resume in
   let pending : job array =
     Array.of_list
-      (List.filter (fun (j : job) -> not (Hashtbl.mem cached j.key)) distinct)
+      (List.filter
+         (fun (j : job) -> refusal j = None && not (Hashtbl.mem cached j.key))
+         distinct)
   in
   if Hashtbl.length cached = 0 then
     Printf.printf "running %d simulations on %d domain(s)...\n%!"
@@ -188,34 +209,29 @@ let exec ~opts job_list =
   in
   let outcomes =
     Wfs_runner.Pool.map_outcomes ~jobs:opts.jobs ~retries:opts.retries ?notify
-      (fun (j : job) ->
-        match opts.max_slots with
-        | Some cap when j.slots > cap ->
-            (* Deterministic watchdog: the slot loop is horizon-bounded, so
-               a job's cost is declared up front and over-budget jobs are
-               refused before they run. *)
-            Error
-              (Error.v Error.Sim_fault ~who:"Runs.exec" "slot budget exceeded"
-                 ~context:
-                   [
-                     ("key", j.key);
-                     ("slots", string_of_int j.slots);
-                     ("max_slots", string_of_int cap);
-                   ])
-        | _ -> Ok (j.run ()))
+      (fun (j : job) -> Ok (j.run ()))
       pending
   in
   Option.iter Journal.close writer;
+  let ran = Hashtbl.create 256 in
+  Array.iteri (fun i (j : job) -> Hashtbl.replace ran j.key outcomes.(i)) pending;
   let table = Hashtbl.create 256 in
-  Hashtbl.iter (fun k r -> Hashtbl.replace table k r) cached;
-  let failures = ref [] in
-  Array.iteri
-    (fun i (j : job) ->
-      match outcomes.(i) with
-      | Ok r -> Hashtbl.replace table j.key r
-      | Error error -> failures := { key = j.key; error } :: !failures)
-    pending;
-  let failures = List.rev !failures in
+  let failures =
+    List.filter_map
+      (fun (j : job) ->
+        match refusal j with
+        | Some error -> Some { key = j.key; error }
+        | None -> (
+            match Hashtbl.find_opt ran j.key with
+            | Some (Error error) -> Some { key = j.key; error }
+            | Some (Ok r) ->
+                Hashtbl.replace table j.key r;
+                None
+            | None ->
+                Hashtbl.replace table j.key (Hashtbl.find cached j.key);
+                None))
+      distinct
+  in
   let stats =
     {
       runs = Array.length pending;

@@ -27,8 +27,11 @@ type opts = {
   jobs : int;  (** worker domains *)
   retries : int;  (** extra attempts per failed job (same RNG stream) *)
   max_slots : int option;
-      (** deterministic watchdog: refuse any job declaring more slots *)
-  invariants : bool;  (** run {!Wfs_core.Invariant} monitors in every job *)
+      (** deterministic watchdog: refuse any job declaring more slots, a
+          journaled one included *)
+  invariants : bool;
+      (** run {!Wfs_core.Invariant} monitors in every job; stamped into the
+          journal header, so a resume must use the same setting *)
   flight_recorder : int option;
       (** ring capacity: spec-backed jobs run with an N-event flight
           recorder whose last events ride along in a failed job's error
@@ -74,15 +77,16 @@ val result_of_json : Wfs_util.Json.t -> result option
     resumption relies on. *)
 
 val exec : opts:opts -> job list -> stats * (string -> result) * failure list
-(** Dedup by key (first occurrence wins), subtract keys already in the
-    resume journal, run the remaining jobs crash-isolated on the pool
-    (journaling each completion), and return counts, a lookup function,
-    and the per-job failures in submission order.  The lookup raises
+(** Dedup by key (first occurrence wins), refuse the jobs over
+    [max_slots], subtract keys already in the resume journal, run the
+    remaining jobs crash-isolated on the pool (journaling each
+    completion), and return counts, a lookup function, and the per-job
+    failures in submission order.  The lookup raises
     {!Missing} for a failed key and [Invalid_argument] for a key that was
     never submitted.
     @raise Wfs_util.Error.Error (kind [Bad_spec]) when the resume journal
     is corrupt, has the wrong schema, or was written for different sweep
-    settings. *)
+    settings ([params] or [invariants]). *)
 
 val metrics : (string -> result) -> string -> Wfs_core.Metrics.t
 val mac : (string -> result) -> string -> Wfs_mac.Mac_sim.result

@@ -6,7 +6,7 @@
    text on stdout and optionally as a self-contained HTML page.
 
    Examples:
-     wfs_report --bench bench/baselines/BENCH_macro_eventcomp.json
+     wfs_report --bench bench-quick.json    (bench/main.exe --json PATH)
      wfs_report --xray-trace topo.jsonl --causality flows.jsonl \
                 --windows win.jsonl --html dashboard.html
      wfs_report --trace cell.jsonl --timeline faults.jsonl *)

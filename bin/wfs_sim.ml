@@ -445,9 +445,19 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
   at_least "--retries" 0 (Some retries);
   at_least "--jobs" 1 jobs;
   at_least "--max-slots" 1 max_slots;
-  at_least "--trace-stride" 1 (Some trace_stride);
-  at_least "--window-slots" 1 (Some window_slots);
+  at_least "--trace-stride" 1 trace_stride;
+  at_least "--window-slots" 1 window_slots;
   at_least "--flight-recorder" 1 flight_recorder;
+  if window_slots <> None && windows = None then
+    usage "--window-slots applies with --windows only";
+  if
+    trace_stride <> None && trace_out = None && trace_csv = None
+    && metrics_out = None
+  then
+    usage "--trace-stride applies with --trace-out, --trace-csv or --metrics-out";
+  let trace_stride_given = trace_stride <> None in
+  let trace_stride = Option.value trace_stride ~default:1
+  and window_slots = Option.value window_slots ~default:1000 in
   let jobs =
     match jobs with Some n -> n | None -> Wfs_runner.Pool.default_jobs ()
   in
@@ -481,7 +491,11 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
     in
     let topo_clause =
       if cells > 1 then
-        let tp = Spec.topo ~cells ~mobility ~epoch in
+        let tp =
+          Spec.topo ~cells
+            ~mobility:(Option.value mobility ~default:0.)
+            ~epoch:(Option.value epoch ~default:500)
+        in
         Some
           (match fault_plan with
           | Some p -> Spec.with_faults p tp
@@ -491,6 +505,10 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
           usage
             "--faults needs a multi-cell run (--cells > 1); give --spec its \
              own faults=... field instead";
+        if mobility <> None || epoch <> None then
+          usage
+            "--mobility/--epoch need a multi-cell run (--cells > 1); give \
+             --spec its own topology clause instead";
         None
       end
     in
@@ -583,6 +601,10 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
           trace_out <> None || trace_csv <> None || causality <> None
           || windows <> None
         in
+        if trace_stride_given && trace_out = None && trace_csv = None then
+          usage
+            "--trace-stride on a topology run applies to --trace-out/\
+             --trace-csv only";
         if observing && List.length topo_runs <> 1 then
           usage
             "--trace-out/--trace-csv/--causality/--windows need exactly one \
@@ -786,9 +808,13 @@ let trace_csv_arg =
 
 let trace_stride_arg =
   Arg.(
-    value & opt int 1
-    & info [ "trace-stride" ] ~docv:"N"
-        ~doc:"Sample every N-th slot (default 1: every slot).")
+    value
+    & opt (some int) None
+    & info [ "trace-stride" ] ~docv:"N" ~absent:"1"
+        ~doc:
+          "Sample every N-th slot (default 1: every slot).  Applies with \
+           $(b,--trace-out), $(b,--trace-csv) or (single-cell runs) \
+           $(b,--metrics-out); rejected otherwise.")
 
 let profile_arg =
   Arg.(
@@ -821,18 +847,21 @@ let cells_arg =
 
 let mobility_arg =
   Arg.(
-    value & opt float 0.
-    & info [ "mobility" ] ~docv:"R"
+    value
+    & opt (some float) None
+    & info [ "mobility" ] ~docv:"R" ~absent:"0"
         ~doc:
           "Per-flow handoff probability at each epoch barrier (multi-cell \
-           runs; default 0: no handoffs).")
+           runs; default 0: no handoffs); rejected without $(b,--cells) > \
+           1.")
 
 let epoch_arg =
   Arg.(
-    value & opt int 500
-    & info [ "epoch" ] ~docv:"N"
+    value
+    & opt (some int) None
+    & info [ "epoch" ] ~docv:"N" ~absent:"500"
         ~doc:"Slots per lockstep epoch between handoff barriers (multi-cell \
-              runs).")
+              runs); rejected without $(b,--cells) > 1.")
 
 let faults_arg =
   Arg.(
@@ -897,10 +926,11 @@ let windows_arg =
 
 let window_slots_arg =
   Arg.(
-    value & opt int 1000
-    & info [ "window-slots" ] ~docv:"N"
+    value
+    & opt (some int) None
+    & info [ "window-slots" ] ~docv:"N" ~absent:"1000"
         ~doc:"Tumbling-window length in slots for $(b,--windows) (default \
-              1000).")
+              1000); rejected without $(b,--windows).")
 
 let check_trace_arg =
   Arg.(

@@ -1,14 +1,11 @@
 module Sim = Wfs_core.Simulator
 module Tablefmt = Wfs_util.Tablefmt
-module Error = Wfs_util.Error
 
 (* Bechamel's CLOCK_MONOTONIC stub: noalloc, ns since an arbitrary origin.
    Deliberately not Unix.gettimeofday (lint R1): the profiler measures
    durations, never reads wall-clock time, and nothing derived from it
    enters a result table — timings are reporting, not simulation state. *)
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-type span_record = { name : string; depth : int; seq : int; ns : int }
 
 type t = {
   (* Per-phase accumulators, preallocated: the phase hooks do integer
@@ -17,9 +14,6 @@ type t = {
   totals : int array;
   maxs : int array;
   starts : int array;
-  mutable spans : span_record list;  (* completed, unordered *)
-  mutable stack : (string * int * int) list;  (* name, seq, start ns *)
-  mutable next_seq : int;
 }
 
 let create () =
@@ -28,9 +22,6 @@ let create () =
     totals = Array.make Sim.n_phases 0;
     maxs = Array.make Sim.n_phases 0;
     starts = Array.make Sim.n_phases 0;
-    spans = [];
-    stack = [];
-    next_seq = 0;
   }
 
 let hooks t =
@@ -44,27 +35,6 @@ let hooks t =
         if dt > t.maxs.(p) then t.maxs.(p) <- dt);
   }
 
-let span t name f =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let depth = List.length t.stack in
-  t.stack <- (name, seq, now_ns ()) :: t.stack;
-  Fun.protect
-    ~finally:(fun () ->
-      match t.stack with
-      | (n, s, start) :: rest ->
-          t.stack <- rest;
-          t.spans <- { name = n; depth; seq = s; ns = now_ns () - start } :: t.spans
-      | [] -> Error.sim_fault ~who:"Profiler.span" "span stack underflow")
-    f
-
-let phase_count t p = t.counts.(p)
-let phase_total_ns t p = t.totals.(p)
-let phase_max_ns t p = t.maxs.(p)
-let total_ns t = Array.fold_left ( + ) 0 t.totals
-
-let spans t =
-  List.sort (fun a b -> Int.compare a.seq b.seq) t.spans
 
 let per f n = if n = 0 then 0. else float_of_int f /. float_of_int n
 
@@ -84,7 +54,7 @@ let phase_table ?(title = "profile: slot phases") ~slots t =
         string_of_int t.maxs.(p);
       ]
   done;
-  let all = total_ns t in
+  let all = Array.fold_left ( + ) 0 t.totals in
   Tablefmt.add_row table
     [
       "all";
@@ -94,16 +64,4 @@ let phase_table ?(title = "profile: slot phases") ~slots t =
       Tablefmt.cell_of_float ~decimals:1 (per all slots);
       "";
     ];
-  table
-
-let span_table ?(title = "profile: stages") t =
-  let table = Tablefmt.create ~title ~columns:[ "stage"; "ms" ] in
-  List.iter
-    (fun s ->
-      Tablefmt.add_row table
-        [
-          String.make (2 * s.depth) ' ' ^ s.name;
-          Tablefmt.cell_of_float ~decimals:3 (float_of_int s.ns /. 1e6);
-        ])
-    (spans t);
   table

@@ -550,6 +550,82 @@ let test_fast_path_probed_degenerates () =
   let f = run_example ~probe ~fast:true ~sched:"SwapA-P" ~example:2 ~horizon:1000 ~seed:11 () in
   Alcotest.(check string) "probed run identical" r f
 
+(* The sparse cells the fast path is built for: the four paper schedulers
+   at 2/16/64/256 provisioned flows, of which at most [active] carry
+   Poisson traffic at aggregate [load] over bursty Gilbert-Elliott
+   channels (Retx_limit 3); the rest are silent ([Arrival.never] on
+   error-free channels).  Unlike examples 1-2, almost every slot here is
+   quiescent, so whole windows are absorbed in closed form.  Per cell,
+   the fast run must reproduce the reference run's full metrics, a
+   Skip_stats collector must not perturb the fast run, and the collected
+   run must stay entirely on the compressed engine. *)
+let grid_setups ~load ~active ~n_flows ~seed =
+  let active = min n_flows active in
+  let rate = load /. float_of_int active in
+  Array.init n_flows (fun id ->
+      let flow =
+        Core.Params.flow ~id ~weight:1. ~drop:(Core.Params.Retx_limit 3) ()
+      in
+      if id < active then
+        {
+          Core.Simulator.flow;
+          source =
+            Wfs_traffic.Poisson.create
+              ~rng:(Rng.create (seed + (1000 * id) + 1))
+              ~rate;
+          channel =
+            Wfs_channel.Gilbert_elliott.of_burstiness
+              ~rng:(Rng.create (seed + (1000 * id) + 2))
+              ~good_prob:0.9 ~sum:0.1 ();
+        }
+      else
+        {
+          Core.Simulator.flow;
+          source = Wfs_traffic.Arrival.never ();
+          channel = Wfs_channel.Error_free.create ();
+        })
+
+let grid_run ?skip_stats ~fast ~load ~active ~n_flows name =
+  let entry = Core.Registry.get name in
+  let setups = grid_setups ~load ~active ~n_flows ~seed:42 in
+  let sched =
+    entry.make (Array.map (fun fs -> fs.Core.Simulator.flow) setups)
+  in
+  let cfg =
+    Core.Simulator.config ~predictor:entry.predictor ~fast_path:fast
+      ?skip_stats ~horizon:2000 setups
+  in
+  metrics_fingerprint (Core.Simulator.run cfg sched)
+
+let test_fast_path_sparse_grid_identity () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (load, active) ->
+          List.iter
+            (fun n_flows ->
+              let run ?skip_stats fast =
+                grid_run ?skip_stats ~fast ~load ~active ~n_flows name
+              in
+              let cell =
+                Printf.sprintf "%s flows=%d load=%.2f active=%d" name n_flows
+                  load active
+              in
+              let fast = run true in
+              Alcotest.(check string)
+                (cell ^ ": fast = reference")
+                (run false) fast;
+              let skip = Core.Skip_stats.create () in
+              Alcotest.(check string)
+                (cell ^ ": skip telemetry transparent")
+                fast
+                (run ~skip_stats:skip true);
+              check_bool (cell ^ ": compressed") true
+                (Core.Skip_stats.compressed skip))
+            [ 2; 16; 64; 256 ])
+        [ (0.9, 8); (0.05, 8); (0.05, 2) ])
+    [ "SwapA-P"; "IWFQ-P"; "CIF-Q-P"; "CSDPS" ]
+
 (* Multi-cell topology with chaos faults: the fast path must stay
    byte-identical to the reference across jobs counts — epoch barriers
    bound the skip horizon, so handoff dissolve/rebuild sees the same
@@ -608,6 +684,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_event_cal_model;
     Alcotest.test_case "fast path full-run identity" `Quick
       test_fast_path_full_run_identity;
+    Alcotest.test_case "fast path sparse-grid identity" `Quick
+      test_fast_path_sparse_grid_identity;
     Alcotest.test_case "fast path probed degeneration" `Quick
       test_fast_path_probed_degenerates;
     Alcotest.test_case "topo+faults fast path identity" `Quick
