@@ -168,17 +168,9 @@ let exec ~opts job_list =
      the journal is consulted — a cached result never slips past the
      budget a fresh sweep would enforce. *)
   let refusal (j : job) =
-    match opts.max_slots with
-    | Some cap when j.slots > cap ->
-        Some
-          (Error.v Error.Sim_fault ~who:"Runs.exec" "slot budget exceeded"
-             ~context:
-               [
-                 ("key", j.key);
-                 ("slots", string_of_int j.slots);
-                 ("max_slots", string_of_int cap);
-               ])
-    | _ -> None
+    Wfs_runner.Exec.budget_refusal ~who:"Runs.exec" ?max_slots:opts.max_slots
+      ~slots:j.slots
+      [ ("key", j.key); ("slots", string_of_int j.slots) ]
   in
   let cached = Hashtbl.create 256 in
   (* The monitors' setting is part of what a result claims (that the

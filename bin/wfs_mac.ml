@@ -67,7 +67,7 @@ let run ~path ~contention ~control_weight ~metrics_out ~trace_out ~trace_csv
      WPS trace through it, so the ring holds the most recent swap/drop
      events when a run dies. *)
   let recorder =
-    Option.map (fun cap -> Core.Simulator.Tracelog.create ~capacity:cap ()) flight_recorder
+    Option.map (fun cap -> Core.Tracelog.create ~capacity:cap ()) flight_recorder
   in
   let cfg =
     Mac.Mac_sim.config
@@ -179,9 +179,12 @@ let trace_csv_arg =
 
 let trace_stride_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt (some int) None
     & info [ "trace-stride" ] ~docv:"N"
-        ~doc:"Sample every N-th slot (default 1: every slot).")
+        ~doc:
+          "Sample every N-th slot (default 1: every slot); rejected without \
+           $(b,--trace-out), $(b,--trace-csv) or $(b,--metrics-out).")
 
 let profile_arg =
   Arg.(
@@ -200,16 +203,23 @@ let flight_recorder_arg =
           "Keep the last N WPS trace events in a ring; on a crash they are \
            reported in the error context.")
 
+(* Refuse a command line with exit 2. *)
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "wfs_mac: %s\n" msg;
+      exit 2)
+    fmt
+
 let main path aloha control_weight metrics_out trace_out trace_csv trace_stride
     profile flight_recorder =
-  if trace_stride < 1 then begin
-    Printf.eprintf "wfs_mac: --trace-stride must be >= 1, got %d\n" trace_stride;
-    exit 2
-  end;
+  (match trace_stride with
+  | Some n when n < 1 -> usage "--trace-stride must be >= 1, got %d" n
+  | Some _ when trace_out = None && trace_csv = None && metrics_out = None ->
+      usage "--trace-stride applies with --trace-out, --trace-csv or --metrics-out"
+  | _ -> ());
   (match flight_recorder with
-  | Some n when n < 1 ->
-      Printf.eprintf "wfs_mac: --flight-recorder must be >= 1, got %d\n" n;
-      exit 2
+  | Some n when n < 1 -> usage "--flight-recorder must be >= 1, got %d" n
   | _ -> ());
   let contention =
     match aloha with
@@ -218,14 +228,11 @@ let main path aloha control_weight metrics_out trace_out trace_csv trace_stride
   in
   try
     run ~path ~contention ~control_weight ~metrics_out ~trace_out ~trace_csv
-      ~trace_stride ~profile ~flight_recorder
+      ~trace_stride:(Option.value trace_stride ~default:1)
+      ~profile ~flight_recorder
   with
-  | Invalid_argument msg ->
-      Printf.eprintf "wfs_mac: %s\n" msg;
-      exit 2
-  | Wfs_util.Error.Error e ->
-      Printf.eprintf "wfs_mac: %s\n" (Wfs_util.Error.to_string e);
-      exit 2
+  | Invalid_argument msg -> usage "%s" msg
+  | Wfs_util.Error.Error e -> usage "%s" (Wfs_util.Error.to_string e)
 
 let cmd =
   let doc = "Wireless cell simulator with the Section-6 MAC protocol" in

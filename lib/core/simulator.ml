@@ -2,7 +2,6 @@ module Packet = Wfs_traffic.Packet
 module Arrival = Wfs_traffic.Arrival
 module Channel = Wfs_channel.Channel
 module Predictor = Wfs_channel.Predictor
-module Tracelog = Wfs_sim.Tracelog
 module Event_cal = Wfs_util.Event_cal
 
 type flow_setup = {

@@ -49,13 +49,23 @@ let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
    events ride along in the error context, so the runner's failure table
    shows what the scheduler was doing right before the fault. *)
 let flight_context tr =
-  let events = Wfs_sim.Tracelog.events tr in
+  let events = Core.Tracelog.events tr in
   [
     ( "flight-recorder-events",
-      string_of_int (Wfs_sim.Tracelog.length tr) );
+      string_of_int (Core.Tracelog.length tr) );
     ( "flight-recorder",
-      String.concat " | " (List.map Wfs_sim.Tracelog.entry_to_string events) );
+      String.concat " | " (List.map Core.Tracelog.entry_to_string events) );
   ]
+
+(* The slot loop is horizon-bounded, so runaway cost is declared up front:
+   a job whose slot budget exceeds the cap is refused instead of watched. *)
+let budget_refusal ~who ?max_slots ~slots context =
+  match max_slots with
+  | Some cap when slots > cap ->
+      Some
+        (Wfs_util.Error.v Wfs_util.Error.Sim_fault ~who "slot budget exceeded"
+           ~context:(context @ [ ("max_slots", string_of_int cap) ]))
+  | Some _ | None -> None
 
 let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
     ?profiler ?flight_recorder ?histograms ?invariants ?fast_path ?skip_stats
@@ -71,29 +81,20 @@ let run_outcome ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe
              "flight_recorder and trace are mutually exclusive"
              ~context:spec_context)
     | Some cap, None -> (
-        match Wfs_sim.Tracelog.create ~capacity:cap () with
+        match Core.Tracelog.create ~capacity:cap () with
         | tr -> Ok (Some tr)
         | exception Invalid_argument msg ->
             Error
               (Error.v Error.Bad_config ~who:"Exec.run_outcome" msg
                  ~context:spec_context))
   in
-  match (recorder, max_slots) with
-  | Error e, _ -> Error e
-  | Ok _, Some cap when spec.horizon > cap ->
-      (* The slot loop is horizon-bounded, so runaway cost is declared up
-         front: refuse jobs whose slot budget exceeds the cap instead of
-         pretending to watch a loop that cannot diverge. *)
-      Error
-        (Error.v Error.Sim_fault ~who:"Exec.run_outcome"
-           "slot budget exceeded"
-           ~context:
-             (spec_context
-             @ [
-                 ("horizon", string_of_int spec.horizon);
-                 ("max_slots", string_of_int cap);
-               ]))
-  | Ok recorder, _ -> (
+  let refusal =
+    budget_refusal ~who:"Exec.run_outcome" ?max_slots ~slots:spec.horizon
+      (spec_context @ [ ("horizon", string_of_int spec.horizon) ])
+  in
+  match (recorder, refusal) with
+  | Error e, _ | Ok _, Some e -> Error e
+  | Ok recorder, None -> (
       let trace =
         match recorder with Some tr -> Some tr | None -> trace
       in

@@ -1,6 +1,6 @@
 type completion = { job : Job.t; start : float; finish : float }
 
-let run ~capacity (sched : Sched_intf.instance) jobs =
+let run ~capacity sched jobs =
   if capacity <= 0. then Wfs_util.Error.invalid "Server.run" "capacity must be > 0";
   let arrivals =
     List.stable_sort
@@ -15,7 +15,7 @@ let run ~capacity (sched : Sched_intf.instance) jobs =
     let rec loop () =
       match !pending with
       | (j : Job.t) :: rest when j.arrival <= t ->
-          sched.enqueue j;
+          Fair_queue.enqueue sched j;
           pending := rest;
           loop ()
       | _ -> ()
@@ -26,7 +26,7 @@ let run ~capacity (sched : Sched_intf.instance) jobs =
     let next_arrival =
       match !pending with [] -> None | j :: _ -> Some j.Job.arrival
     in
-    if sched.queued () = 0 then
+    if Fair_queue.queued sched = 0 then
       match next_arrival with
       | None -> ()
       | Some a ->
@@ -37,7 +37,7 @@ let run ~capacity (sched : Sched_intf.instance) jobs =
     else begin
       let t = !free_at in
       deliver_until t;
-      match sched.dequeue ~time:t with
+      match Fair_queue.dequeue sched ~time:t with
       | None ->
           (* queued() > 0 guarantees a job; defensive. *)
           assert false

@@ -1,4 +1,4 @@
-(** Non-preemptive single-link server driver for the wireline schedulers.
+(** Non-preemptive single-link server driver for {!Fair_queue}.
 
     Feeds a time-ordered arrival trace to a scheduler and simulates a link
     of fixed capacity serving one packet at a time: whenever the link is
@@ -13,7 +13,7 @@ type completion = {
 }
 
 val run :
-  capacity:float -> Sched_intf.instance -> Job.t list -> completion list
+  capacity:float -> Fair_queue.t -> Job.t list -> completion list
 (** [run ~capacity sched jobs] simulates until all jobs complete; [jobs]
     need not be sorted (they are sorted by arrival, ties by list order).
     Completions are returned in service order. *)

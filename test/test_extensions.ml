@@ -117,6 +117,8 @@ let test_pareto_onoff_heavy_tail () =
 
 (* --- WF2Q+ --- *)
 
+module Fq = Wfs_wireline.Fair_queue
+
 let job ~flow ~seq ~arrival ?(size = 1.) () =
   Wfs_wireline.Job.make ~flow ~seq ~arrival ~size
 
@@ -129,7 +131,7 @@ let test_wf2q_plus_weighted_shares () =
   in
   let completions =
     Wfs_wireline.Server.run ~capacity:1.
-      (Wfs_wireline.Wf2q_plus.instance ~capacity:1. flows)
+      (Fq.create Fq.Wf2q_plus ~capacity:1. flows)
       jobs
   in
   let served = Wfs_wireline.Server.throughput_by_flow completions ~until:100. in
@@ -144,26 +146,26 @@ let test_wf2q_plus_matches_wf2q_order_when_backlogged () =
       (List.init 30 (fun seq ->
            List.init 3 (fun flow -> job ~flow ~seq ~arrival:0. ())))
   in
-  let order instance =
+  let order discipline =
     List.map
       (fun c -> c.Wfs_wireline.Server.job.Wfs_wireline.Job.flow)
-      (Wfs_wireline.Server.run ~capacity:1. instance jobs)
+      (Wfs_wireline.Server.run ~capacity:1.
+         (Fq.create discipline ~capacity:1. flows)
+         jobs)
   in
   Alcotest.(check (list int))
-    "same order as WF2Q"
-    (order (Wfs_wireline.Wf2q.instance ~capacity:1. flows))
-    (order (Wfs_wireline.Wf2q_plus.instance ~capacity:1. flows))
+    "same order as WF2Q" (order Fq.Wf2q) (order Fq.Wf2q_plus)
 
 let test_wf2q_plus_virtual_time_monotone () =
   let flows = Wfs_wireline.Flow.equal_weights 2 in
-  let s = Wfs_wireline.Wf2q_plus.create ~capacity:1. flows in
-  let prev = ref (Wfs_wireline.Wf2q_plus.virtual_time s) in
-  Wfs_wireline.Wf2q_plus.enqueue s (job ~flow:0 ~seq:0 ~arrival:0. ());
-  Wfs_wireline.Wf2q_plus.enqueue s (job ~flow:1 ~seq:0 ~arrival:0. ());
-  Wfs_wireline.Wf2q_plus.enqueue s (job ~flow:1 ~seq:1 ~arrival:0. ());
+  let s = Fq.create Fq.Wf2q_plus ~capacity:1. flows in
+  let prev = ref (Fq.virtual_time s) in
+  Fq.enqueue s (job ~flow:0 ~seq:0 ~arrival:0. ());
+  Fq.enqueue s (job ~flow:1 ~seq:0 ~arrival:0. ());
+  Fq.enqueue s (job ~flow:1 ~seq:1 ~arrival:0. ());
   for _ = 1 to 3 do
-    ignore (Wfs_wireline.Wf2q_plus.dequeue s ~time:0.);
-    let v = Wfs_wireline.Wf2q_plus.virtual_time s in
+    ignore (Fq.dequeue s ~time:0.);
+    let v = Fq.virtual_time s in
     check_bool "monotone" true (v >= !prev);
     prev := v
   done
@@ -749,7 +751,7 @@ let prop_per_flow_fifo =
       let master = Rng.create seed in
       let fifo_ok make_sched =
         let sched = make_sched flows in
-        let trace = Wfs_sim.Tracelog.create () in
+        let trace = Wfs_core.Tracelog.create () in
         let setups =
           Array.init n (fun i ->
               {
@@ -765,14 +767,14 @@ let prop_per_flow_fifo =
         ignore (Core.Simulator.run cfg sched);
         let last_seq = Array.make n (-1) in
         List.for_all
-          (fun { Wfs_sim.Tracelog.event; _ } ->
+          (fun { Wfs_core.Tracelog.event; _ } ->
             match event with
-            | Wfs_sim.Tracelog.Transmit_ok { flow; seq; _ } ->
+            | Wfs_core.Tracelog.Transmit_ok { flow; seq; _ } ->
                 let ok = seq > last_seq.(flow) in
                 last_seq.(flow) <- seq;
                 ok
             | _ -> true)
-          (Wfs_sim.Tracelog.events trace)
+          (Wfs_core.Tracelog.events trace)
       in
       fifo_ok (fun flows ->
           Core.Wps.instance (Core.Wps.create ~params:(Core.Params.swapa ()) flows))

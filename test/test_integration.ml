@@ -216,7 +216,8 @@ let test_iwfq_error_free_matches_wireline_wfq () =
   in
   let completions =
     Wfs_wireline.Server.run ~capacity:1.
-      (Wfs_wireline.Wfq.instance ~capacity:1. wl_flows)
+      (Wfs_wireline.Fair_queue.create Wfs_wireline.Fair_queue.Wfq ~capacity:1.
+         wl_flows)
       jobs
   in
   (* Cumulative wireline service per flow per slot boundary. *)

@@ -2,7 +2,6 @@ let () =
   Alcotest.run "wfs"
     [
       ("util", Test_util.suite);
-      ("sim", Test_sim.suite);
       ("traffic", Test_traffic.suite);
       ("channel", Test_channel.suite);
       ("predictor", Test_predictor.suite);

@@ -1,9 +1,9 @@
 (* Observability suite: wfs-trace/1 round-trips (qcheck bit-exact,
    torn-tail tolerance, corruption refusal), deterministic positional
-   merge of sharded instrument registries across --jobs counts, flight
-   recorder capacity/eviction, fault reports carrying recent events, and
-   the lockstep property — a fully probed run produces byte-identical
-   metrics to an unprobed one. *)
+   merge of sharded instrument registries across --jobs counts, the event
+   trace and its flight-recorder capacity/eviction, fault reports carrying
+   recent events, and the lockstep property — a fully probed run produces
+   byte-identical metrics to an unprobed one. *)
 
 module Error = Wfs_util.Error
 module Json = Wfs_util.Json
@@ -14,7 +14,7 @@ module Trace = Wfs_obs.Trace
 module Sink = Wfs_obs.Sink
 module Instruments = Wfs_obs.Instruments
 module Probe = Wfs_obs.Probe
-module Tracelog = Wfs_sim.Tracelog
+module Tracelog = Wfs_core.Tracelog
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -271,6 +271,36 @@ let test_flight_recorder_capacity_and_eviction () =
   | _ -> Alcotest.fail "capacity 0 must be rejected"
   | exception Invalid_argument _ -> ()
 
+let test_tracelog_basic () =
+  let t = Tracelog.create () in
+  Tracelog.record t ~slot:0 (Tracelog.Arrival { flow = 1; seq = 0 });
+  Tracelog.record t ~slot:1 Tracelog.Slot_idle;
+  Tracelog.record t ~slot:2 (Tracelog.Transmit_ok { flow = 1; seq = 0; delay = 2 });
+  check_int "3 events" 3 (List.length (Tracelog.events t));
+  check_int "1 idle" 1
+    (Tracelog.count t (fun e -> e.Tracelog.event = Tracelog.Slot_idle));
+  let arrivals =
+    Tracelog.filter t (fun e ->
+        match e.Tracelog.event with Tracelog.Arrival _ -> true | _ -> false)
+  in
+  check_int "arrival at slot 0" 0 (List.hd arrivals).Tracelog.slot
+
+let test_tracelog_disabled () =
+  let t = Tracelog.create ~enabled:false () in
+  Tracelog.record t ~slot:0 Tracelog.Slot_idle;
+  check_int "records nothing" 0 (List.length (Tracelog.events t));
+  check_bool "reports disabled" false (Tracelog.enabled t)
+
+let test_tracelog_clear () =
+  let t = Tracelog.create () in
+  Tracelog.record t ~slot:0 Tracelog.Slot_idle;
+  Tracelog.clear t;
+  check_int "cleared" 0 (List.length (Tracelog.events t))
+
+let test_tracelog_pp () =
+  let s = Format.asprintf "%a" Tracelog.pp_event (Tracelog.Swap { from_flow = 1; to_flow = 2 }) in
+  Alcotest.(check string) "pp swap" "swap f1->f2" s
+
 let test_fault_report_carries_flight_events () =
   let spec = Spec.make ~seed:7 ~horizon:5000 ~sched:"SwapA-P" (Spec.example 1) in
   let observer slot _ =
@@ -367,6 +397,10 @@ let suite =
       test_merge_refuses_mismatch;
     Alcotest.test_case "instruments JSON round-trip" `Quick
       test_instruments_json_roundtrip;
+    Alcotest.test_case "tracelog basic" `Quick test_tracelog_basic;
+    Alcotest.test_case "tracelog disabled" `Quick test_tracelog_disabled;
+    Alcotest.test_case "tracelog clear" `Quick test_tracelog_clear;
+    Alcotest.test_case "tracelog pp" `Quick test_tracelog_pp;
     Alcotest.test_case "flight recorder capacity and eviction" `Quick
       test_flight_recorder_capacity_and_eviction;
     Alcotest.test_case "fault report carries flight events" `Quick

@@ -621,23 +621,38 @@ let test_registry_predictors () =
   check_bool "blind WRR is blind" true
     (kind "Blind WRR" = Wfs_channel.Predictor.Blind)
 
-let test_wireline_registry () =
-  check_str "VC alias" "VirtualClock"
-    (Wfs_wireline.Registry.get "VC").Wfs_wireline.Registry.name;
-  check_str "WF2Q unicode alias" "WF2Q"
-    (Wfs_wireline.Registry.get "WF\xc2\xb2Q").Wfs_wireline.Registry.name;
-  let flows = Wfs_wireline.Flow.of_weights [| 1.; 2. |] in
-  let instances = Wfs_wireline.Registry.instances ~capacity:1. flows in
-  check_int "eight wireline schedulers" 8 (List.length instances);
-  (* Instance names line up with registration order. *)
-  List.iter2
-    (fun name (inst : Wfs_wireline.Sched_intf.instance) ->
-      check_bool
-        (Printf.sprintf "%s constructs %s" name inst.Wfs_wireline.Sched_intf.name)
-        true
-        (String.length inst.Wfs_wireline.Sched_intf.name > 0))
-    (Wfs_wireline.Registry.names ())
-    instances
+(* The store contract wfsbench's traced entries rely on: collisions on a
+   name or alias are refused case-insensitively (before anything is
+   stored), unknown names are typed [Bad_config] misses listing the known
+   names, and enumeration follows registration order. *)
+let test_registry_contract () =
+  let module R = Core.Registry in
+  let base = R.get "SwapA-P" in
+  let refused key e =
+    Alcotest.check_raises key
+      (Invalid_argument
+         (Printf.sprintf "Registry.register: %S is already registered" key))
+      (fun () -> R.register e)
+  in
+  refused "swapa-p" { base with name = "swapa-p"; aliases = [] };
+  refused "wps" { base with name = "contract-fresh"; aliases = [ "Wps" ] };
+  check_bool "a refused entry is not stored" false (R.mem "contract-fresh");
+  (match R.lookup "no-such-scheduler" with
+  | Ok _ -> Alcotest.fail "unknown name must miss"
+  | Error e ->
+      check_str "kind" "bad-config" (Wfs_util.Error.kind_to_string e.kind);
+      check_str "known names in context"
+        (String.concat ", " (R.names ()))
+        (List.assoc "known" e.context));
+  let before = R.names () in
+  R.register { base with name = "Contract-Probe"; aliases = [ "cprobe" ] };
+  Alcotest.(check (list string))
+    "registration order is enumeration order"
+    (before @ [ "Contract-Probe" ])
+    (R.names ());
+  check_str "entries end with it" "Contract-Probe"
+    (List.nth (R.entries ()) (List.length before)).name;
+  check_str "alias resolves" "Contract-Probe" (R.get "CPROBE").name
 
 (* Resuming a journal whose last append was torn: [reopen] must cut the
    fragment off, so the first new entry lands on a line of its own and the
@@ -704,5 +719,5 @@ let suite =
     ("artifact schema check", `Quick, test_artifact_rejects_bad_schema);
     ("registry lookup", `Quick, test_registry_lookup);
     ("registry predictors", `Quick, test_registry_predictors);
-    ("wireline registry", `Quick, test_wireline_registry);
+    ("registry contract", `Quick, test_registry_contract);
   ]

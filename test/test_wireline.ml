@@ -1,9 +1,10 @@
-(* Tests for the wireline substrate: GPS fluid reference, WFQ/WF2Q tag
-   machinery and Lemma-1 bounds, SCFQ/STFQ/VC/WRR/DRR behaviour. *)
+(* Tests for the wireline substrate: GPS fluid reference, and the
+   WFQ/WF2Q/WF2Q+ tag engine with its Lemma-1 bounds. *)
 
 module Flow = Wfs_wireline.Flow
 module Job = Wfs_wireline.Job
 module Gps = Wfs_wireline.Gps
+module Fq = Wfs_wireline.Fair_queue
 module Server = Wfs_wireline.Server
 module Rng = Wfs_util.Rng
 
@@ -90,7 +91,8 @@ let test_gps_backlog_tracking () =
 
 (* --- Server driver + schedulers --- *)
 
-let run_sched instance jobs = Server.run ~capacity:1. instance jobs
+let run_sched discipline flows jobs =
+  Server.run ~capacity:1. (Fq.create discipline ~capacity:1. flows) jobs
 
 let test_wfq_simple_order () =
   (* Flow 1 (weight 3) should get 3 of the first 4 services under
@@ -105,7 +107,7 @@ let test_wfq_simple_order () =
         ])
       [ 0; 1; 2; 3 ]
   in
-  let completions = run_sched (Wfs_wireline.Wfq.instance ~capacity:1. flows) jobs in
+  let completions = run_sched Fq.Wfq flows jobs in
   let first4 = List.filteri (fun i _ -> i < 4) completions in
   let flow1 =
     List.length (List.filter (fun c -> c.Server.job.Job.flow = 1) first4)
@@ -115,7 +117,7 @@ let test_wfq_simple_order () =
 let test_wfq_work_conserving () =
   let flows = Flow.equal_weights 2 in
   let jobs = [ job ~flow:0 ~seq:0 ~arrival:0. (); job ~flow:1 ~seq:0 ~arrival:5. () ] in
-  let completions = run_sched (Wfs_wireline.Wfq.instance ~capacity:1. flows) jobs in
+  let completions = run_sched Fq.Wfq flows jobs in
   match completions with
   | [ c0; c1 ] ->
       check_float "no gap for first" 1. c0.Server.finish;
@@ -142,15 +144,9 @@ let random_jobs ~seed ~n_flows ~n_jobs =
 let test_wfq_lemma1_bound () =
   let flows = Flow.of_weights [| 1.; 2.; 0.5 |] in
   let jobs = random_jobs ~seed:42 ~n_flows:3 ~n_jobs:400 in
-  let wfq = Wfs_wireline.Wfq.create ~capacity:1. flows in
-  let instance =
-    Wfs_wireline.Sched_intf.make ~name:"WFQ"
-      ~enqueue:(Wfs_wireline.Wfq.enqueue wfq)
-      ~dequeue:(fun ~time -> Wfs_wireline.Wfq.dequeue wfq ~time)
-      ~queued:(fun () -> Wfs_wireline.Wfq.queued wfq)
-  in
-  let completions = Server.run ~capacity:1. instance jobs in
-  let gps = Wfs_wireline.Wfq.gps wfq in
+  let wfq = Fq.create Fq.Wfq ~capacity:1. flows in
+  let completions = Server.run ~capacity:1. wfq jobs in
+  let gps = Fq.gps wfq in
   Gps.advance_to gps 1e9;
   let fluid = Hashtbl.create 512 in
   List.iter
@@ -174,15 +170,9 @@ let test_wfq_lemma1_bound () =
 let test_wf2q_lemma1_bound () =
   let flows = Flow.of_weights [| 1.; 2.; 0.5 |] in
   let jobs = random_jobs ~seed:43 ~n_flows:3 ~n_jobs:400 in
-  let wf2q = Wfs_wireline.Wf2q.create ~capacity:1. flows in
-  let instance =
-    Wfs_wireline.Sched_intf.make ~name:"WF2Q"
-      ~enqueue:(Wfs_wireline.Wf2q.enqueue wf2q)
-      ~dequeue:(fun ~time -> Wfs_wireline.Wf2q.dequeue wf2q ~time)
-      ~queued:(fun () -> Wfs_wireline.Wf2q.queued wf2q)
-  in
-  let completions = Server.run ~capacity:1. instance jobs in
-  let gps = Wfs_wireline.Wf2q.gps wf2q in
+  let wf2q = Fq.create Fq.Wf2q ~capacity:1. flows in
+  let completions = Server.run ~capacity:1. wf2q jobs in
+  let gps = Fq.gps wf2q in
   Gps.advance_to gps 1e9;
   let fluid = Hashtbl.create 512 in
   List.iter
@@ -220,20 +210,19 @@ let test_wf2q_lemma1_bound () =
         w)
     [ 0; 1; 2 ]
 
-(* The registry enumerates the whole wireline family; adding a scheduler
-   there picks it up in these comparative tests automatically. *)
-let all_instances flows = Wfs_wireline.Registry.instances ~capacity:1. flows
+(* Every discipline of the engine, for the comparative tests. *)
+let disciplines = [ ("WFQ", Fq.Wfq); ("WF2Q", Fq.Wf2q); ("WF2Q+", Fq.Wf2q_plus) ]
 
 let test_all_schedulers_complete_everything () =
   let flows = Flow.of_weights [| 1.; 2. |] in
   let jobs = random_jobs ~seed:44 ~n_flows:2 ~n_jobs:300 in
   List.iter
-    (fun instance ->
-      let completions = Server.run ~capacity:1. instance jobs in
+    (fun (name, discipline) ->
+      let completions = run_sched discipline flows jobs in
       check_int
-        (Printf.sprintf "%s completes all" instance.Wfs_wireline.Sched_intf.name)
+        (Printf.sprintf "%s completes all" name)
         300 (List.length completions))
-    (all_instances flows)
+    disciplines
 
 let test_all_schedulers_work_conserving () =
   (* Total busy time equals total work whenever there is backlog: the last
@@ -243,15 +232,15 @@ let test_all_schedulers_work_conserving () =
     List.init 30 (fun i -> job ~flow:(i mod 3) ~seq:(i / 3) ~arrival:0. ())
   in
   List.iter
-    (fun instance ->
-      let completions = Server.run ~capacity:1. instance jobs in
+    (fun (name, discipline) ->
+      let completions = run_sched discipline flows jobs in
       let last =
         List.fold_left (fun acc c -> Float.max acc c.Server.finish) 0. completions
       in
       Alcotest.(check (float 1e-6))
-        (Printf.sprintf "%s busy until 30" instance.Wfs_wireline.Sched_intf.name)
+        (Printf.sprintf "%s busy until 30" name)
         30. last)
-    (all_instances flows)
+    disciplines
 
 let test_throughput_fair_shares () =
   (* Saturated flows with weights 1:2:1 split a long busy period 25/50/25. *)
@@ -262,118 +251,15 @@ let test_throughput_fair_shares () =
            List.init 3 (fun flow -> job ~flow ~seq ~arrival:0. ())))
   in
   List.iter
-    (fun instance ->
-      let completions = Server.run ~capacity:1. instance jobs in
+    (fun (name, discipline) ->
+      let completions = run_sched discipline flows jobs in
       let served = Server.throughput_by_flow completions ~until:200. in
       let get f = List.assoc f served in
-      let name = instance.Wfs_wireline.Sched_intf.name in
       check_bool (name ^ " flow1 double share") true
         (abs_float ((get 1 /. get 0) -. 2.) < 0.15);
       check_bool (name ^ " flows 0,2 equal") true
         (abs_float (get 0 -. get 2) < 6.))
-    (all_instances flows)
-
-let test_scfq_virtual_time_follows_service () =
-  let flows = Flow.equal_weights 2 in
-  let s = Wfs_wireline.Scfq.create ~capacity:1. flows in
-  Wfs_wireline.Scfq.enqueue s (job ~flow:0 ~seq:0 ~arrival:0. ());
-  Alcotest.(check (float 1e-9)) "v starts 0" 0. (Wfs_wireline.Scfq.virtual_time s);
-  ignore (Wfs_wireline.Scfq.dequeue s ~time:0.);
-  Alcotest.(check (float 1e-9)) "v = finish of served" 1.
-    (Wfs_wireline.Scfq.virtual_time s)
-
-let test_stfq_orders_by_start_tag () =
-  let flows = Flow.of_weights [| 1.; 10. |] in
-  let s = Wfs_wireline.Stfq.create ~capacity:1. flows in
-  (* Both arrive at v=0: starts are 0 and 0; flow1's second packet starts at
-     0.1 while flow0's second starts at 1.0. *)
-  Wfs_wireline.Stfq.enqueue s (job ~flow:0 ~seq:0 ~arrival:0. ());
-  Wfs_wireline.Stfq.enqueue s (job ~flow:0 ~seq:1 ~arrival:0. ());
-  Wfs_wireline.Stfq.enqueue s (job ~flow:1 ~seq:0 ~arrival:0. ());
-  Wfs_wireline.Stfq.enqueue s (job ~flow:1 ~seq:1 ~arrival:0. ());
-  let order =
-    List.init 4 (fun _ ->
-        let j = Option.get (Wfs_wireline.Stfq.dequeue s ~time:0.) in
-        j.Job.flow)
-  in
-  (* start tags: f0#0=0, f1#0=0 (tie->finish: f1 smaller), f1#1=0.1, f0#1=1 *)
-  Alcotest.(check (list int)) "start-tag order" [ 1; 0; 1; 0 ] order
-
-let test_virtual_clock_punishes_bursts () =
-  (* A flow that was idle keeps its clock at real time; a flow that ran
-     ahead accumulated clock and now loses. *)
-  let flows = Flow.equal_weights 2 in
-  let vc = Wfs_wireline.Virtual_clock.create ~capacity:1. flows in
-  (* flow0 sends 5 packets back to back at t=0 (clock runs to 5). *)
-  for seq = 0 to 4 do
-    Wfs_wireline.Virtual_clock.enqueue vc (job ~flow:0 ~seq ~arrival:0. ())
-  done;
-  Alcotest.(check (float 1e-9)) "clock ahead" 5.
-    (Wfs_wireline.Virtual_clock.clock vc ~flow:0);
-  (* flow1 arrives at t=2 with clock max(2,0)+1=3 < flow0's pending 4,5. *)
-  Wfs_wireline.Virtual_clock.enqueue vc (job ~flow:1 ~seq:0 ~arrival:2. ());
-  ignore (Wfs_wireline.Virtual_clock.dequeue vc ~time:2.);
-  ignore (Wfs_wireline.Virtual_clock.dequeue vc ~time:2.);
-  ignore (Wfs_wireline.Virtual_clock.dequeue vc ~time:2.);
-  let j4 = Option.get (Wfs_wireline.Virtual_clock.dequeue vc ~time:3.) in
-  check_int "newcomer preempts backlogged clock" 1 j4.Job.flow
-
-let test_wrr_round_structure () =
-  let flows = Flow.of_weights [| 2.; 1. |] in
-  let w = Wfs_wireline.Wrr.create ~capacity:1. flows in
-  for seq = 0 to 5 do
-    Wfs_wireline.Wrr.enqueue w (job ~flow:0 ~seq ~arrival:0. ());
-    Wfs_wireline.Wrr.enqueue w (job ~flow:1 ~seq ~arrival:0. ())
-  done;
-  let order =
-    List.init 6 (fun _ -> (Option.get (Wfs_wireline.Wrr.dequeue w ~time:0.)).Job.flow)
-  in
-  Alcotest.(check (list int)) "2:1 rounds" [ 0; 0; 1; 0; 0; 1 ] order
-
-let test_wrr_skips_empty () =
-  let flows = Flow.equal_weights 3 in
-  let w = Wfs_wireline.Wrr.create ~capacity:1. flows in
-  Wfs_wireline.Wrr.enqueue w (job ~flow:2 ~seq:0 ~arrival:0. ());
-  let j = Option.get (Wfs_wireline.Wrr.dequeue w ~time:0.) in
-  check_int "work conserving skip" 2 j.Job.flow;
-  check_bool "then empty" true
-    (Option.is_none (Wfs_wireline.Wrr.dequeue w ~time:0.))
-
-let test_drr_variable_sizes () =
-  (* DRR with quantum 1: a size-2.5 packet waits ~3 rounds while size-1
-     packets of the other flow flow through. *)
-  let flows = Flow.equal_weights 2 in
-  let d = Wfs_wireline.Drr.create ~quantum:1. ~capacity:1. flows in
-  Wfs_wireline.Drr.enqueue d (Job.make ~flow:0 ~seq:0 ~arrival:0. ~size:2.5);
-  for seq = 0 to 3 do
-    Wfs_wireline.Drr.enqueue d (job ~flow:1 ~seq ~arrival:0. ())
-  done;
-  let order =
-    List.init 5 (fun _ -> (Option.get (Wfs_wireline.Drr.dequeue d ~time:0.)).Job.flow)
-  in
-  (* Flow 0 needs 3 quanta before its big packet goes out. *)
-  check_int "big packet served exactly once" 1
-    (List.length (List.filter (fun f -> f = 0) order));
-  check_bool "big packet not first" true (List.hd order = 1)
-
-let test_drr_byte_fairness () =
-  (* Long-run byte shares equal despite different packet sizes. *)
-  let flows = Flow.equal_weights 2 in
-  let jobs =
-    List.concat
-      (List.init 200 (fun seq ->
-           [
-             Job.make ~flow:0 ~seq ~arrival:0. ~size:2.;
-             Job.make ~flow:1 ~seq:(2 * seq) ~arrival:0. ~size:1.;
-             Job.make ~flow:1 ~seq:((2 * seq) + 1) ~arrival:0. ~size:1.;
-           ]))
-  in
-  let completions =
-    Server.run ~capacity:1. (Wfs_wireline.Drr.instance ~capacity:1. flows) jobs
-  in
-  let served = Server.throughput_by_flow completions ~until:300. in
-  check_bool "byte-equal shares" true
-    (abs_float (List.assoc 0 served -. List.assoc 1 served) < 8.)
+    disciplines
 
 let test_wfq_isolates_well_behaved_flow () =
   (* The separation property the paper leans on: a flow that floods the
@@ -386,7 +272,7 @@ let test_wfq_isolates_well_behaved_flow () =
     List.init 100 (fun seq -> job ~flow:0 ~seq ~arrival:(2. *. float_of_int seq) ())
     @ List.init 200 (fun seq -> job ~flow:1 ~seq ~arrival:0. ())
   in
-  let completions = run_sched (Wfs_wireline.Wfq.instance ~capacity:1. flows) jobs in
+  let completions = run_sched Fq.Wfq flows jobs in
   List.iter
     (fun c ->
       if c.Server.job.Job.flow = 0 then
@@ -394,33 +280,10 @@ let test_wfq_isolates_well_behaved_flow () =
           (c.Server.finish -. c.Server.job.Job.arrival <= 3. +. 1e-6))
     completions
 
-let test_scfq_stfq_bounded_unfairness () =
-  (* SCFQ and STFQ track WFQ's long-run shares even though their virtual
-     times are self-clocked: saturated 1:2 flows split 1/3 : 2/3. *)
-  let flows = Flow.of_weights [| 1.; 2. |] in
-  let jobs =
-    List.concat
-      (List.init 300 (fun seq ->
-           [ job ~flow:0 ~seq ~arrival:0. (); job ~flow:1 ~seq ~arrival:0. () ]))
-  in
-  List.iter
-    (fun instance ->
-      let completions = Server.run ~capacity:1. instance jobs in
-      let served = Server.throughput_by_flow completions ~until:300. in
-      let share = List.assoc 1 served /. (List.assoc 0 served +. List.assoc 1 served) in
-      check_bool
-        (instance.Wfs_wireline.Sched_intf.name ^ " 2/3 share")
-        true
-        (abs_float (share -. (2. /. 3.)) < 0.02))
-    [
-      Wfs_wireline.Scfq.instance ~capacity:1. flows;
-      Wfs_wireline.Stfq.instance ~capacity:1. flows;
-    ]
-
 let test_delays_by_flow_helper () =
   let flows = Flow.equal_weights 1 in
   let jobs = [ job ~flow:0 ~seq:0 ~arrival:0. (); job ~flow:0 ~seq:1 ~arrival:0. () ] in
-  let completions = run_sched (Wfs_wireline.Wfq.instance ~capacity:1. flows) jobs in
+  let completions = run_sched Fq.Wfq flows jobs in
   match Server.delays_by_flow completions with
   | [ (0, [ d1; d2 ]) ] ->
       check_float "first delay" 1. d1;
@@ -478,14 +341,6 @@ let suite =
     ("all schedulers complete", `Quick, test_all_schedulers_complete_everything);
     ("all schedulers work-conserving", `Quick, test_all_schedulers_work_conserving);
     ("fair throughput shares", `Quick, test_throughput_fair_shares);
-    ("scfq virtual time", `Quick, test_scfq_virtual_time_follows_service);
-    ("stfq start-tag order", `Quick, test_stfq_orders_by_start_tag);
-    ("virtual clock punishes bursts", `Quick, test_virtual_clock_punishes_bursts);
-    ("wrr round structure", `Quick, test_wrr_round_structure);
-    ("wrr skips empty", `Quick, test_wrr_skips_empty);
-    ("drr variable sizes", `Quick, test_drr_variable_sizes);
-    ("drr byte fairness", `Quick, test_drr_byte_fairness);
     ("wfq isolates conforming flow", `Quick, test_wfq_isolates_well_behaved_flow);
-    ("scfq/stfq long-run shares", `Quick, test_scfq_stfq_bounded_unfairness);
     ("delays_by_flow helper", `Quick, test_delays_by_flow_helper);
   ]
