@@ -733,9 +733,8 @@ let ablation_fairness ~opts =
                 Array.init 2 (fun id -> Core.Params.flow ~id ~weight:1. ())
               in
               let sched = make_sched flows in
-              let monitor =
-                Core.Fairness.Monitor.create ~weights:[| 1.; 1. |] ~window:100
-                  ~sched
+              let windows =
+                Core.Fairness.create ~weights:[| 1.; 1. |] ~window:100
               in
               let master = Wfs_util.Rng.create opts.seed in
               let setups =
@@ -753,15 +752,16 @@ let ablation_fairness ~opts =
               in
               ignore
                 (run_direct
-                   ~observer:(Core.Fairness.Monitor.observer monitor)
+                   ~observer:(Core.Fairness.observer windows)
                    ~horizon ~predictor:Wfs_channel.Predictor.One_step setups
                    sched);
-              Runs.Fairness
-                {
-                  windows = Core.Fairness.Monitor.windows_sampled monitor;
-                  jain = Core.Fairness.Monitor.mean_jain monitor;
-                  gap = Core.Fairness.Monitor.worst_gap monitor;
-                });
+              (* Both flows stay saturated, so every window scores both;
+                 none qualifying would mean a broken run. *)
+              match Core.Fairness.summary (Core.Fairness.windows windows) with
+              | Some s ->
+                  Runs.Fairness
+                    { windows = s.sampled; jain = s.mean_jain; gap = s.worst_gap }
+              | None -> invalid_arg "fairness job: no window had two backlogged flows");
         })
       schedulers
   in

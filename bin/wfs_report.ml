@@ -1,7 +1,7 @@
 (* Offline observability report: load any mix of the repo's on-disk
    artifacts — wfs-bench/1 metrics/bench artifacts, wfs-trace/1 single-cell
    traces, wfs-xray-trace/1 merged topology timelines, wfs-causality/1
-   flow-journey logs, wfs-windows/1 aggregation streams and
+   flow-journey logs, wfs-windows/2 aggregation streams and
    wfs-chaos/1-timeline fault logs — and render one dashboard, as aligned
    text on stdout and optionally as a self-contained HTML page.
 
@@ -118,7 +118,7 @@ let windows_arg =
     value & opt_all file []
     & info [ "windows" ] ~docv:"FILE"
         ~doc:
-          "A wfs-windows/1 aggregation stream ($(b,wfs_sim --windows)).  \
+          "A wfs-windows/2 aggregation stream ($(b,wfs_sim --windows)).  \
            Repeatable.")
 
 let timeline_arg =

@@ -110,7 +110,8 @@ let instrument_table ~title registries =
 (* What one replica hands back for rendering. *)
 type replica = {
   metrics : M.t;
-  jain_gap : (float * float) option;  (* windowed fairness, when requested *)
+  fairness : Wfs_core.Fairness.summary option;
+      (* --fairness: None when not asked or no window had two flows in scope *)
   instruments : Wfs_obs.Instruments.t option;  (* for --metrics-out *)
   skip : Wfs_core.Skip_stats.t option;  (* fast-path skip telemetry *)
 }
@@ -161,9 +162,6 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
   let profiler = if profile then Some (Wfs_obs.Profiler.create ()) else None in
   let run (sp : Spec.t) =
     let flows = lazy (flows sp) in
-    let weights () =
-      Array.map (fun (f : Wfs_core.Params.flow) -> f.weight) (Lazy.force flows)
-    in
     let instruments =
       Option.map (fun _ -> Wfs_obs.Instruments.create ()) metrics_out
     in
@@ -176,32 +174,19 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
               ~n_flows:(Array.length (Lazy.force flows))
               sched)
     in
-    (* Windowed aggregation is a per-slot observer here (it degenerates the
-       fast path, like --fairness); topology runs sample at barriers
+    (* One eq.-(1) window collector serves --fairness (its summary) and
+       --windows (its stream).  It observes every slot here, which
+       degenerates the fast path; topology runs observe at barriers
        instead and stay compressed. *)
     let wcoll =
-      Option.map
-        (fun _ ->
-          Wfs_xray.Windowed.create ~weights:(weights ()) ~window:window_slots)
-        windows_out
-    in
-    let monitor = ref None in
-    let observer =
-      if (not fairness) && wcoll = None then None
-      else
+      if fairness || windows_out <> None then
         Some
-          (fun sched ->
-            if fairness then
-              monitor :=
-                Some
-                  (Wfs_core.Fairness.Monitor.create ~weights:(weights ())
-                     ~window:100 ~sched);
-            let mon = !monitor in
-            fun slot m ->
-              Option.iter
-                (fun mon -> Wfs_core.Fairness.Monitor.observer mon slot m)
-                mon;
-              Option.iter (fun w -> Wfs_xray.Windowed.observer w slot m) wcoll)
+          (Wfs_core.Fairness.create ~window:window_slots
+             ~weights:
+               (Array.map
+                  (fun (f : Wfs_core.Params.flow) -> f.weight)
+                  (Lazy.force flows)))
+      else None
     in
     (* Skip telemetry records at window granularity and is deliberately NOT
        part of the fast path's degeneration condition: a --fast-path run
@@ -210,24 +195,26 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
       if fast_path then Some (Wfs_core.Skip_stats.create ()) else None
     in
     Wfs_runner.Exec.run_outcome ~credit_limit:credit ~debit_limit:debit
-      ?observer ?probe
+      ?observer:(Option.map Wfs_core.Fairness.observer wcoll) ?probe
       ?profiler:(Option.map Wfs_obs.Profiler.hooks profiler)
       ?flight_recorder ?skip_stats:skip ~invariants ~fast_path ?max_slots sp
     |> Result.map (fun metrics ->
-           (match (wcoll, windows_out) with
-           | Some w, Some path ->
-               Wfs_xray.Windowed.flush w ~slot:(sp.horizon - 1) ~metrics;
-               Wfs_xray.Windowed.write ~path ~window:window_slots
-                 (Wfs_xray.Windowed.windows w)
+           let windows =
+             Option.map
+               (fun w ->
+                 Wfs_core.Fairness.flush w ~slot:(sp.horizon - 1) ~metrics;
+                 Wfs_core.Fairness.windows w)
+               wcoll
+           in
+           (match (windows, windows_out) with
+           | Some ws, Some path ->
+               Wfs_xray.Windowed.write ~path ~window:window_slots ws
            | _ -> ());
            {
              metrics;
-             jain_gap =
-               Option.map
-                 (fun mon ->
-                   ( Wfs_core.Fairness.Monitor.mean_jain mon,
-                     Wfs_core.Fairness.Monitor.worst_gap mon ))
-                 !monitor;
+             fairness =
+               (if fairness then Option.bind windows Wfs_core.Fairness.summary
+                else None);
              instruments;
              skip;
            })
@@ -262,12 +249,19 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
                       M.throughput r.metrics ~flow:i ~slots:sp.horizon);
                 ]
                 @
-                if fairness then
-                  [
-                    agg ~decimals:4 (fun r -> fst (Option.get r.jain_gap));
-                    agg (fun r -> snd (Option.get r.jain_gap));
-                  ]
-                else [])
+                if not fairness then []
+                else
+                  (* A replica with no window to score leaves nothing to
+                     average: the cell reads "-" rather than a vacuous 1/0. *)
+                  match List.filter_map (fun r -> r.fairness) reps with
+                  | ss when List.compare_lengths ss reps = 0 ->
+                      [
+                        T.cell_of_samples ~decimals:4
+                          (List.map (fun s -> s.Wfs_core.Fairness.mean_jain) ss);
+                        T.cell_of_samples
+                          (List.map (fun s -> s.Wfs_core.Fairness.worst_gap) ss);
+                      ]
+                  | _ -> [ "-"; "-" ])
         | _ ->
             Array.iteri
               (fun k -> function
@@ -303,7 +297,9 @@ let run_and_render ~title ~output ~jobs ~seeds ~credit ~debit ~fairness
         (instrument_table ~title:"probe instruments" registries
         :: Option.to_list
              (Option.map
-                (fun k -> Wfs_xray.Skip_telemetry.artifact_table k)
+                (fun k ->
+                  Wfs_runner.Artifact.table_of
+                    (Wfs_xray.Skip_telemetry.to_table k))
                 skip_merged)));
   Option.iter
     (fun prof -> print_side ~output (Wfs_obs.Profiler.phase_table ~slots prof))
@@ -448,8 +444,8 @@ let main_checked example seed horizon sum credit debit csv fairness algo info
   at_least "--trace-stride" 1 trace_stride;
   at_least "--window-slots" 1 window_slots;
   at_least "--flight-recorder" 1 flight_recorder;
-  if window_slots <> None && windows = None then
-    usage "--window-slots applies with --windows only";
+  if window_slots <> None && windows = None && not fairness then
+    usage "--window-slots applies with --windows or --fairness only";
   if
     trace_stride <> None && trace_out = None && trace_csv = None
     && metrics_out = None
@@ -679,7 +675,13 @@ let fairness_arg =
   Arg.(
     value & flag
     & info [ "fairness" ]
-        ~doc:"Also report windowed Jain index and worst normalised-service gap.")
+        ~doc:
+          "Also report the paper's eq.-(1) fairness over tumbling windows of \
+           $(b,--window-slots) slots: the mean Jain index and the worst \
+           normalised-service gap over the windows in which at least two \
+           flows stayed backlogged at every slot, scoring those flows only \
+           ('-' when no window qualifies).  Single-cell runs only; observes \
+           every slot, so it forces the reference loop.")
 
 let algo_arg =
   Arg.(
@@ -917,20 +919,22 @@ let windows_arg =
     & opt (some string) None
     & info [ "windows" ] ~docv:"FILE"
         ~doc:
-          "Write a wfs-windows/1 tumbling-window aggregation stream (Jain \
-           index, eq-(1) normalized-service gap, arrival/delivery/drop/\
-           backlog/loss deltas per window) to FILE.  Single-cell runs \
-           sample every slot (needs exactly one run; forces $(b,--jobs) 1); \
-           topology runs sample at epoch barriers and keep the requested \
-           job count.")
+          "Write a wfs-windows/2 tumbling-window aggregation stream (the \
+           number of flows backlogged at every observation of the window, \
+           their Jain index and eq-(1) normalized-service gap, and the \
+           window's arrival/delivery/drop/backlog/loss deltas) to FILE.  \
+           Single-cell runs sample every slot (needs exactly one run; \
+           forces $(b,--jobs) 1); topology runs sample at epoch barriers \
+           and keep the requested job count.")
 
 let window_slots_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "window-slots" ] ~docv:"N" ~absent:"1000"
-        ~doc:"Tumbling-window length in slots for $(b,--windows) (default \
-              1000); rejected without $(b,--windows).")
+        ~doc:
+          "Tumbling-window length in slots for $(b,--windows) and \
+           $(b,--fairness) (default 1000); rejected without either.")
 
 let check_trace_arg =
   Arg.(

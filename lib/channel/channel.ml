@@ -1,9 +1,5 @@
 type state = Good | Bad
 
-let pp_state ppf = function
-  | Good -> Format.pp_print_string ppf "good"
-  | Bad -> Format.pp_print_string ppf "bad"
-
 let state_is_good = function Good -> true | Bad -> false
 
 type t = {

@@ -12,7 +12,6 @@
 
 type state = Good | Bad
 
-val pp_state : Format.formatter -> state -> unit
 val state_is_good : state -> bool
 
 type t

@@ -89,7 +89,6 @@ module Session = struct
   type t = {
     cfg : config;
     sched : Wireless_sched.instance;
-    channel_state : flow:int -> slot:int -> Channel.state;
     metrics : Metrics.t;
     seqs : int array;
     tracing : bool;
@@ -114,9 +113,8 @@ module Session = struct
     mutable next : int;
     (* Event-compressed fast path (see docs/PERF.md).  [fast] is decided
        once at session creation: the config asked for it, every per-slot
-       observability hook is absent, the scheduler published a quiescent
-       hook, and channels are driven directly (so [Channel.advance_run]
-       reaches the same objects the reference's [channel_state] would).
+       observability hook is absent, and the scheduler published a
+       quiescent hook.
        [cal] holds at most one pending arrival event per source;
        [src_scanned.(i)] is the slot the next event query for source [i]
        resumes from; [chan_next] is the slot the next dynamic-channel
@@ -129,8 +127,7 @@ module Session = struct
     mutable chan_next : int;
   }
 
-  let create_generic ?metrics ?(first_slot = 0) ?(direct_channels = false)
-      cfg (sched : Wireless_sched.instance) ~channel_state =
+  let create ?metrics ?(first_slot = 0) cfg (sched : Wireless_sched.instance) =
     let n = Array.length cfg.flows in
     if first_slot < 0 || first_slot > cfg.horizon then
       Wfs_util.Error.invalidf "Simulator.Session.create"
@@ -214,7 +211,7 @@ module Session = struct
         cfg.flows
     in
     let fast =
-      cfg.fast_path && direct_channels && not tracing
+      cfg.fast_path && not tracing
       && Option.is_none cfg.slot_probe
       && Option.is_none cfg.observer
       && Option.is_none cfg.profiler
@@ -231,7 +228,6 @@ module Session = struct
     {
       cfg;
       sched;
-      channel_state;
       metrics;
       seqs;
       tracing;
@@ -259,17 +255,6 @@ module Session = struct
       chan_next = first_slot;
     }
 
-  let create ?metrics ?first_slot cfg sched =
-    let channel_state ~flow ~slot =
-      Channel.advance cfg.flows.(flow).channel ~slot
-    in
-    (* Channels must advance exactly once per slot, before predictions read
-       them; [advance] calls [channel_state] once per flow per slot in
-       phase 2. *)
-    create_generic ?metrics ?first_slot ~direct_channels:true cfg sched
-      ~channel_state
-
-  let next_slot t = t.next
   let metrics t = t.metrics
 
   (* Reference engine: every slot of [next, until) runs the full 7-phase
@@ -290,7 +275,6 @@ module Session = struct
     let phase_end = t.phase_end in
     let states = t.states in
     let cur_slot = t.cur_slot in
-    let channel_state = t.channel_state in
     let predicted_good = t.predicted_good in
     let peek_good = t.peek_good in
     let live_sources = t.live_sources in
@@ -323,11 +307,12 @@ module Session = struct
         done
       done;
       if profiling then phase_end phase_arrivals;
-      (* 2–3. Channel states and predictions. *)
+      (* 2–3. Channel states and predictions: every channel advances
+         exactly once per slot, before predictions read it. *)
       if profiling then phase_begin phase_predict;
       for i = 0 to n - 1 do
         if (not static_channel.(i)) || slot = first_slot then
-          states.(i) <- channel_state ~flow:i ~slot
+          states.(i) <- Channel.advance cfg.flows.(i).channel ~slot
       done;
       if profiling then phase_end phase_predict;
       (* 4. Delay-bound drops (may discard packets anywhere in the queue). *)
@@ -601,33 +586,3 @@ module Session = struct
 end
 
 let run cfg sched = Session.finish (Session.create cfg sched)
-
-let run_with_channels cfg sched ~channel_states =
-  if Array.length channel_states <> Array.length cfg.flows then
-    Wfs_util.Error.invalid "Simulator.run_with_channels" "one state row per flow required";
-  Array.iter
-    (fun row ->
-      if Array.length row < cfg.horizon then
-        Wfs_util.Error.invalid "Simulator.run_with_channels" "row shorter than horizon")
-    channel_states;
-  (* Feed the recorded states through trace channels so predictors see the
-     same view as in a live run. *)
-  let replay =
-    Array.map
-      (fun row ->
-        Wfs_channel.Trace_ch.create
-          (Array.to_list (Array.mapi (fun slot st -> (slot, st)) row)))
-      channel_states
-  in
-  let cfg =
-    {
-      cfg with
-      flows =
-        Array.mapi (fun i fs -> { fs with channel = replay.(i) }) cfg.flows;
-    }
-  in
-  (* [cfg.flows] was just rewritten to hold the replay channels, so direct
-     channel access reaches the same objects [channel_state] drives. *)
-  let channel_state ~flow ~slot = Channel.advance replay.(flow) ~slot in
-  Session.finish
-    (Session.create_generic ~direct_channels:true cfg sched ~channel_state)

@@ -145,12 +145,10 @@ module Session : sig
       [[0, horizon]] or [metrics] has the wrong flow count. *)
 
   val advance : t -> until:int -> unit
-  (** Run slots [[next_slot t, until)].
-      @raise Invalid_argument when [until] is behind [next_slot] or past
-      the horizon. *)
-
-  val next_slot : t -> int
-  (** The first slot the next {!advance} will simulate. *)
+  (** Run the slots from where the session stands up to [until]
+      (exclusive).
+      @raise Invalid_argument when [until] is behind the session's next
+      slot or past the horizon. *)
 
   val metrics : t -> Metrics.t
   (** The live accumulator (the one passed to {!create}, if any). *)
@@ -162,13 +160,3 @@ end
 val run : config -> Wireless_sched.instance -> Metrics.t
 (** Simulate [horizon] slots and return the collected metrics.
     Equivalent to a single-increment {!Session}. *)
-
-val run_with_channels :
-  config ->
-  Wireless_sched.instance ->
-  channel_states:Wfs_channel.Channel.state array array ->
-  Metrics.t
-(** Like {!run} but forces the given per-flow, per-slot channel
-    realisations (outer index = flow, inner = slot) instead of advancing
-    [config]'s channels — used to compare schedulers on identical error
-    sample paths.  Each row must cover [horizon] slots. *)

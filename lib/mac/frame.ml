@@ -16,5 +16,4 @@ let pp_addr ppf a =
 
 type slot_kind = Data_slot of { flow : int } | Control_slot
 
-let advertised_window = 3
 let notification_minislots = 4

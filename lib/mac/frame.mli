@@ -31,10 +31,6 @@ type slot_kind =
   | Data_slot of { flow : int }  (** internal flow id scheduled to transmit *)
   | Control_slot
 
-val advertised_window : int
-(** Number of upcoming slot allocations the base station piggybacks on every
-    transmission (the paper uses three). *)
-
 val notification_minislots : int
 (** Mini-slots in a control slot's notification sub-slot (default 4,
     mirroring the data slot's control sub-slot). *)

@@ -33,11 +33,9 @@ let run ?credit_limit ?debit_limit ?limits ?observer ?trace ?probe ?profiler
   let setups = setups_of spec in
   let flows = Core.Presets.flows_of setups in
   let sched = entry.Core.Registry.make ?credit_limit ?debit_limit ?limits flows in
-  (* The scheduler instance exists only here, so probes and observers
-     arrive as builders: the caller says how to watch, this function says
-     what. *)
+  (* The scheduler instance exists only here, so a probe arrives as a
+     builder: the caller says how to watch, this function says what. *)
   let slot_probe = Option.map (fun build -> build sched) probe in
-  let observer = Option.map (fun build -> build sched) observer in
   Core.Simulator.run
     (Core.Simulator.config ~predictor:entry.Core.Registry.predictor ?observer
        ?trace ?slot_probe ?profiler ?histograms ?invariants ?fast_path

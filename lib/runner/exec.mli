@@ -19,8 +19,7 @@ val run :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?observer:
-    (Wfs_core.Wireless_sched.instance -> int -> Wfs_core.Metrics.t -> unit) ->
+  ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
   ?trace:Wfs_core.Tracelog.t ->
   ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->
@@ -35,11 +34,13 @@ val run :
     [histograms], [invariants], [fast_path] and [skip_stats] to
     {!Wfs_core.Simulator.config} ([skip_stats] records fast-path skip
     telemetry without degenerating the compressed engine).
-    [probe] and [observer] are {e builders}: the scheduler instance only
-    exists inside this call, so the caller passes a function from instance
-    to slot probe (e.g. [Wfs_obs.Probe.create ~n_flows]) or per-slot
-    observer (e.g. a [Wfs_core.Fairness.Monitor]'s) and each is invoked
-    once, after scheduler construction.  For a
+    [observer] is called at the end of every slot with the live metrics
+    (e.g. [Wfs_core.Fairness.observer], the eq.-(1) window collector); it
+    degenerates the fast path.  [probe] is a {e builder}: the scheduler
+    instance only exists inside this call, so the caller passes a
+    function from instance to slot probe (e.g.
+    [Wfs_obs.Probe.create ~n_flows]), invoked once, after scheduler
+    construction.  For a
     [File] scenario the spec's seed/horizon override the file's
     directives, and the scheduler entry's predictor overrides the file's
     [predictor] line (the registry name states the channel knowledge,
@@ -56,8 +57,7 @@ val run_outcome :
   ?credit_limit:int ->
   ?debit_limit:int ->
   ?limits:(int * int) array ->
-  ?observer:
-    (Wfs_core.Wireless_sched.instance -> int -> Wfs_core.Metrics.t -> unit) ->
+  ?observer:(int -> Wfs_core.Metrics.t -> unit) ->
   ?trace:Wfs_core.Tracelog.t ->
   ?probe:(Wfs_core.Wireless_sched.instance -> Wfs_core.Simulator.slot_probe) ->
   ?profiler:Wfs_core.Simulator.profiler_hooks ->

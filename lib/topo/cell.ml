@@ -71,7 +71,6 @@ type t = {
 }
 
 let id t = t.cell_id
-let n_members t = Array.length t.members
 let gids t = Array.to_list (Array.map (fun m -> m.gid) t.members)
 let instruments t = t.ins
 let note_departure t = Instruments.incr t.handoffs_out

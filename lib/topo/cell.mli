@@ -106,7 +106,6 @@ val create :
     (an empty cell simulates nothing until flows hand off into it). *)
 
 val id : t -> int
-val n_members : t -> int
 
 val gids : t -> int list
 (** Global ids of the current members, ascending. *)

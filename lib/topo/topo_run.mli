@@ -34,7 +34,7 @@ type artifacts = {
   trace_csv : string option;  (** the same timeline as CSV *)
   trace_stride : int;  (** sample every N-th slot *)
   causality : string option;  (** [wfs-causality/1] log *)
-  windows : string option;  (** [wfs-windows/1] stream, barrier-sampled *)
+  windows : string option;  (** [wfs-windows/2] stream, barrier-sampled *)
   window_slots : int;  (** tumbling-window length *)
 }
 (** The per-run artifacts: each needs a run of its own, so none can come

@@ -471,8 +471,6 @@ let peek_metrics t =
   Array.iter (fun cell -> Cell.peek cell ~into:m) t.cells;
   m
 
-let cell_instruments t ~cell = Cell.instruments t.cells.(cell)
-
 let instruments t =
   Instruments.merge_all
     (Array.to_list (Array.map Cell.instruments t.cells))

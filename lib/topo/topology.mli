@@ -104,7 +104,6 @@ val peek_metrics : t -> Wfs_core.Metrics.t
     [on_barrier] hook); orphan parcels' drained backlogs are invisible
     until their re-home, exactly as in the final merge. *)
 
-val cell_instruments : t -> cell:int -> Wfs_obs.Instruments.t
 val instruments : t -> Wfs_obs.Instruments.t
 (** Per-cell registries merged positionally in cell order
     ({!Wfs_obs.Instruments.merge_all}) — identical for any [jobs]. *)

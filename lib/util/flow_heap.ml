@@ -58,11 +58,6 @@ let mem t ~flow =
     Error.invalidf "Flow_heap.mem" "flow %d out of range [0,%d)" flow t.n;
   t.present.(flow)
 
-let current_tag t ~flow =
-  if not (mem t ~flow) then
-    Error.invalidf "Flow_heap.current_tag" "flow %d is not in the heap" flow;
-  t.tag.(flow)
-
 (* Entry ordering: (tag, flow id) lexicographic — lowest id wins ties. *)
 let entry_before t i j =
   let c = Float.compare t.heap_tag.(i) t.heap_tag.(j) in

@@ -25,9 +25,6 @@ val remove : t -> flow:int -> unit
 val mem : t -> flow:int -> bool
 val cardinal : t -> int
 
-val current_tag : t -> flow:int -> float
-(** @raise Wfs_util.Error.Error if [flow] is absent. *)
-
 val min : t -> int
 (** The member with the smallest (tag, id); [-1] when empty. *)
 

@@ -2,7 +2,7 @@
 
     A JSONL artifact is a header line [{"schema":S,...}] followed by one
     compact {!Json} object per line.  The [wfs-trace/1],
-    [wfs-xray-trace/1], [wfs-causality/1], [wfs-windows/1],
+    [wfs-xray-trace/1], [wfs-causality/1], [wfs-windows/2],
     [wfs-chaos/1-timeline] streams and the [wfs-bench/1-journal] /
     [wfs-bench/1-topo-journal] checkpoint journals are all written by
     {!create} with {!append} (or {!append_with}, for a typed encoder) or

@@ -33,9 +33,6 @@ let cell_of_samples ?decimals = function
         (cell_of_float ?decimals (Stats.Summary.mean s))
         (cell_of_float ?decimals (Stats.Summary.ci95 s))
 
-let add_float_row t ~label ?decimals values =
-  add_row t (label :: List.map (cell_of_float ?decimals) values)
-
 let render t =
   let all = t.columns :: List.rev t.rows in
   let ncols = List.length t.columns in

@@ -13,11 +13,6 @@ val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells; longer rows
     are truncated. *)
 
-val add_float_row : t -> label:string -> ?decimals:int -> float list -> unit
-(** Convenience: a label cell followed by formatted floats (default 2
-    decimals; integers render without a fractional part; [nan] renders
-    as [-]). *)
-
 val title : t -> string
 val columns : t -> string list
 
@@ -29,7 +24,8 @@ val render : t -> string
 val print : t -> unit
 
 val cell_of_float : ?decimals:int -> float -> string
-(** Shared float formatting used by [add_float_row]. *)
+(** One formatted float cell: [decimals] (default 2) places, integers
+    without a fractional part, [nan] as [-]. *)
 
 val cell_of_samples : ?decimals:int -> float list -> string
 (** One cell for a replicated measurement: {!cell_of_float} of the value

@@ -135,11 +135,6 @@ let event_equal a b =
       && carry_equal a.accepted b.accepted
   | (Move _ | Rehome _ | Crash _ | Carry _), _ -> false
 
-let slot_of = function
-  | Move { slot; _ } | Rehome { slot; _ } | Crash { slot; _ }
-  | Carry { slot; _ } ->
-      slot
-
 (* --- collector --- *)
 
 type t = { mutable rev : event list; mutable n : int }

@@ -51,8 +51,6 @@ val event_of_string : string -> event option
 val event_equal : event -> event -> bool
 (** Floats compare by total order, so [nan] carries round-trip as equal. *)
 
-val slot_of : event -> int
-
 (** {1 In-run collector} *)
 
 type t

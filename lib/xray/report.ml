@@ -213,8 +213,8 @@ let of_windows (c : Windowed.contents) =
       ~title:(Printf.sprintf "tumbling windows (%d slots)" c.Windowed.window)
       ~columns:
         [
-          "idx"; "start"; "end"; "jain"; "gap"; "arrivals"; "delivered";
-          "dropped"; "backlog"; "loss";
+          "idx"; "start"; "end"; "flows"; "jain"; "gap"; "arrivals";
+          "delivered"; "dropped"; "backlog"; "loss";
         ]
   in
   List.iter
@@ -224,6 +224,7 @@ let of_windows (c : Windowed.contents) =
           string_of_int w.Windowed.index;
           string_of_int w.start_slot;
           string_of_int w.end_slot;
+          string_of_int w.flows;
           f4 w.jain;
           f4 w.gap;
           string_of_int w.arrivals;
@@ -234,9 +235,6 @@ let of_windows (c : Windowed.contents) =
         ])
     c.Windowed.windows;
   section ~heading:"windowed aggregation" [ t ]
-
-let of_skip k =
-  section ~heading:"fast-path skip telemetry" [ Skip_telemetry.to_table k ]
 
 (* --- chaos timelines: events summarized per fault kind. --- *)
 

@@ -4,8 +4,8 @@
     tables and free-form notes.  Section builders exist for every on-disk
     artifact this repo produces — wfs-bench/1 artifacts, wfs-trace/1
     single-cell traces, wfs-xray-trace/1 merged topology timelines,
-    wfs-causality/1 flow-journey logs, wfs-windows/1 aggregation streams,
-    wfs-chaos/1-timeline fault logs, and skip-telemetry collectors — and
+    wfs-causality/1 flow-journey logs, wfs-windows/2 aggregation streams
+    and wfs-chaos/1-timeline fault logs — and
     the whole list renders to aligned text or a self-contained HTML page
     (inline CSS, no external assets: the CI dashboard artifact). *)
 
@@ -36,8 +36,6 @@ val of_causality : Causality.event list -> section
     path it walked; plus a crash table. *)
 
 val of_windows : Windowed.contents -> section
-
-val of_skip : Wfs_core.Skip_stats.t -> section
 
 val of_timeline : (string * Wfs_chaos.Chaos.event) list -> section
 (** A loaded wfs-chaos/1-timeline ({!Wfs_chaos.Chaos.load_timeline},

@@ -30,9 +30,6 @@ let to_table ?(title = "fast-path skip telemetry") k =
   List.iter (fun r -> Tablefmt.add_row t r) (rows k);
   t
 
-let artifact_table ?(title = "fast-path skip telemetry") k =
-  { Wfs_runner.Artifact.title; columns; rows = rows k }
-
 let merge_all = function
   | [] -> None
   | k :: tl -> Some (List.fold_left Skip_stats.merge k tl)

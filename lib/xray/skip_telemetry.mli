@@ -8,10 +8,6 @@ val to_table : ?title:string -> Wfs_core.Skip_stats.t -> Wfs_util.Tablefmt.t
     declined windows, window length percentiles, quiescence ratio, and
     whether the run stayed fully compressed. *)
 
-val artifact_table :
-  ?title:string -> Wfs_core.Skip_stats.t -> Wfs_runner.Artifact.table
-(** The same rows as a wfs-bench/1 artifact table. *)
-
 val merge_all : Wfs_core.Skip_stats.t list -> Wfs_core.Skip_stats.t option
 (** Left fold of {!Wfs_core.Skip_stats.merge}; [None] on an empty list.
     Merge in unit order so multi-run aggregates are jobs-invariant. *)

@@ -1,31 +1,29 @@
-(** The [wfs-windows/1] tumbling-window aggregation stream — the
+(** The [wfs-windows/2] tumbling-window aggregation stream — the
     measurement bus the future [wfs_ric] controller subscribes to.
 
-    A collector watches the run's CUMULATIVE {!Wfs_core.Metrics}
-    accumulator and closes a window each time the observation position
-    crosses a tumbling boundary, recording the window's Jain fairness
-    index, the paper's eq-(1) normalized-service gap (over flows that had
-    traffic in the window), and the window's arrival / delivery / drop /
-    backlog / loss deltas.  Single-cell runs feed it every slot through
-    {!observer}; a topology feeds it at epoch barriers via
-    [Wfs_topo.Topology.peek_metrics] — when sampling is sparser than the
-    window length, [start_slot] / [end_slot] record the span actually
-    covered, so the stream never claims resolution the sampling lacked. *)
+    The collector is {!Wfs_core.Fairness}'s eq.-(1) window collector,
+    re-exported here next to the stream's file codec: each window records
+    its Jain index and normalized-service gap over the flows backlogged
+    at every observation of the window ([flows] of them), and its
+    arrival / delivery / drop / backlog / loss deltas.  Single-cell runs
+    feed it every slot through {!observer}; a topology feeds it at epoch
+    barriers via [Wfs_topo.Topology.peek_metrics]. *)
 
 val schema : string
-(** ["wfs-windows/1"] *)
+(** ["wfs-windows/2"] *)
 
-type window = {
+type window = Wfs_core.Fairness.window = {
   index : int;
-  start_slot : int;  (** inclusive *)
-  end_slot : int;  (** exclusive *)
-  jain : float;  (** Jain index of per-flow weight-normalized service *)
-  gap : float;  (** eq-(1) max normalized-service gap, 0 under 2 active flows *)
+  start_slot : int;
+  end_slot : int;
+  flows : int;
+  jain : float;
+  gap : float;
   arrivals : int;
   delivered : int;
   dropped : int;
-  backlog : int;  (** total queued packets at window end (not a delta) *)
-  loss : float;  (** window drops / window arrivals; 0 when no arrivals *)
+  backlog : int;
+  loss : float;
 }
 
 val window_to_json : window -> Wfs_util.Json.t
@@ -38,31 +36,15 @@ val window_of_string : string -> window option
 val window_equal : window -> window -> bool
 (** Floats compare by total order. *)
 
-(** {1 In-run collector} *)
+(** {1 In-run collector} (re-exported from {!Wfs_core.Fairness}) *)
 
-type t
+type t = Wfs_core.Fairness.t
 
 val create : weights:float array -> window:int -> t
-(** [weights] are the flows' rate weights (gid-indexed; normalization
-    denominators for Jain and the gap).
-    @raise Wfs_util.Error.Error (kind [Bad_config]) when [window < 1],
-    the weight array is empty, or any weight is not positive. *)
-
 val observe : t -> slot:int -> metrics:Wfs_core.Metrics.t -> unit
-(** Feed the cumulative accumulator at the end of [slot].  Slots must be
-    nondecreasing across calls; gaps are fine (barrier sampling). *)
-
 val flush : t -> slot:int -> metrics:Wfs_core.Metrics.t -> unit
-(** Close the trailing partial window at end of run (no-op when nothing
-    accumulated since the last boundary). *)
-
 val windows : t -> window list
-
 val observer : t -> int -> Wfs_core.Metrics.t -> unit
-(** Adapter with the {!Wfs_core.Simulator.config} observer shape.  NOTE:
-    attaching an observer degenerates the fast path — windowed aggregation
-    per slot is a reference-loop instrument; topology runs sample at
-    barriers instead and stay compressed. *)
 
 (** {1 File round-trip} *)
 
@@ -72,5 +54,5 @@ val write : path:string -> window:int -> window list -> unit
 
 val load : path:string -> (contents, Wfs_util.Error.t) result
 (** {!Wfs_util.Jsonl.load}: torn final line dropped; mid-file corruption,
-    a missing header, a wrong schema tag or a [window] below 1 yield
-    [Error]. *)
+    a missing header, a wrong schema tag (a [wfs-windows/1] file
+    included) or a [window] below 1 yield [Error]. *)

@@ -183,6 +183,11 @@ let test_max_normalized_gap () =
   check_float "fair is zero" 0.
     (Core.Fairness.max_normalized_gap ~weights:[| 1.; 3. |] ~service:[| 2.; 6. |])
 
+let summary_of windows =
+  match Core.Fairness.summary (Core.Fairness.windows windows) with
+  | Some s -> s
+  | None -> Alcotest.fail "no window had two flows backlogged throughout"
+
 let test_fairness_monitor_on_fair_schedule () =
   (* Two saturated flows, error-free, equal weights: windows should be
      nearly perfectly fair. *)
@@ -190,9 +195,7 @@ let test_fairness_monitor_on_fair_schedule () =
     Array.init 2 (fun id -> Core.Params.flow ~id ~weight:1. ())
   in
   let sched = Core.Wps.instance (Core.Wps.create ~params:Core.Params.wrr flows) in
-  let monitor =
-    Core.Fairness.Monitor.create ~weights:[| 1.; 1. |] ~window:50 ~sched
-  in
+  let windows = Core.Fairness.create ~weights:[| 1.; 1. |] ~window:50 in
   let setups =
     Array.init 2 (fun i ->
         {
@@ -203,22 +206,21 @@ let test_fairness_monitor_on_fair_schedule () =
   in
   let cfg =
     Core.Simulator.config
-      ~observer:(Core.Fairness.Monitor.observer monitor)
+      ~observer:(Core.Fairness.observer windows)
       ~horizon:5_000 setups
   in
   ignore (Core.Simulator.run cfg sched);
-  check_bool "windows sampled" true (Core.Fairness.Monitor.windows_sampled monitor > 50);
-  check_bool "near-perfect Jain" true (Core.Fairness.Monitor.mean_jain monitor > 0.999);
-  check_bool "tiny gap" true (Core.Fairness.Monitor.worst_gap monitor <= 1.)
+  let s = summary_of windows in
+  check_bool "windows sampled" true (s.sampled > 50);
+  check_bool "near-perfect Jain" true (s.mean_jain > 0.999);
+  check_bool "tiny gap" true (s.worst_gap <= 1.)
 
 let test_fairness_monitor_detects_unfairness () =
   (* Same setup but flow 1's channel is bad half the time: windows where
      both stay backlogged show a service gap under plain WRR. *)
   let flows = Array.init 2 (fun id -> Core.Params.flow ~id ~weight:1. ()) in
   let sched = Core.Wps.instance (Core.Wps.create ~params:Core.Params.wrr flows) in
-  let monitor =
-    Core.Fairness.Monitor.create ~weights:[| 1.; 1. |] ~window:50 ~sched
-  in
+  let windows = Core.Fairness.create ~weights:[| 1.; 1. |] ~window:50 in
   let setups =
     Array.init 2 (fun i ->
         {
@@ -233,12 +235,79 @@ let test_fairness_monitor_detects_unfairness () =
   in
   let cfg =
     Core.Simulator.config ~predictor:Wfs_channel.Predictor.Perfect
-      ~observer:(Core.Fairness.Monitor.observer monitor)
+      ~observer:(Core.Fairness.observer windows)
       ~horizon:5_000 setups
   in
   ignore (Core.Simulator.run cfg sched);
-  check_bool "gap visible" true (Core.Fairness.Monitor.worst_gap monitor > 5.);
-  check_bool "Jain below 1" true (Core.Fairness.Monitor.mean_jain monitor < 0.999)
+  let s = summary_of windows in
+  check_bool "gap visible" true (s.worst_gap > 5.);
+  check_bool "Jain below 1" true (s.mean_jain < 0.999)
+
+let test_fairness_scope_drops_drained_flow () =
+  (* Equation (1) constrains only flows backlogged throughout the window.
+     Flow 2 drains to zero at slot 1 of window [0,4), so that window scores
+     flows 0 and 1 alone (one packet each: perfectly fair), although flow 2
+     got twice their service.  Refilled at slot 4 and backlogged through
+     [4,8), it is back in scope there. *)
+  let m = Core.Metrics.create ~n_flows:3 () in
+  let windows = Core.Fairness.create ~weights:[| 1.; 1.; 1. |] ~window:4 in
+  let arrive flow k = for _ = 1 to k do Core.Metrics.on_arrival m ~flow done in
+  let deliver flow = Core.Metrics.on_deliver m ~flow ~delay:0 in
+  arrive 0 4;
+  arrive 1 4;
+  arrive 2 2;
+  List.iteri
+    (fun slot step ->
+      step ();
+      Core.Fairness.observe windows ~slot ~metrics:m)
+    [
+      (fun () -> deliver 2);
+      (fun () -> deliver 2);
+      (fun () -> deliver 0);
+      (fun () -> deliver 1);
+      (fun () -> arrive 2 3; deliver 2);
+      (fun () -> deliver 0);
+      (fun () -> deliver 1);
+      (fun () -> deliver 0);
+    ];
+  match Core.Fairness.windows windows with
+  | [ w0; w1 ] ->
+      check_int "drained flow out of scope" 2 w0.flows;
+      check_float "Jain over the backlogged pair" 1. w0.jain;
+      check_float "gap over the backlogged pair" 0. w0.gap;
+      check_int "all three backlogged" 3 w1.flows;
+      check_float "Jain over service 2,1,1" (16. /. 18.) w1.jain;
+      check_float "gap over service 2,1,1" 1. w1.gap;
+      (match Core.Fairness.summary [ w0; w1 ] with
+      | Some s ->
+          check_int "both windows sampled" 2 s.sampled;
+          check_float "worst gap" 1. s.worst_gap
+      | None -> Alcotest.fail "summary empty");
+      check_bool "a lone flow is nothing to score" true
+        (Core.Fairness.summary [ { w0 with flows = 1 } ] = None)
+  | ws -> Alcotest.failf "expected 2 windows, got %d" (List.length ws)
+
+let test_fairness_cli_prints_dash_without_windows () =
+  (* Example 1's flows never stay backlogged through a 1000-slot window,
+     so --fairness has nothing to score and says so. *)
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/wfs_sim.exe"
+  in
+  let ic =
+    Unix.open_process_args_in exe
+      [| exe; "-e"; "1"; "-a"; "SwapA-P"; "-n"; "20000"; "-s"; "42"; "--fairness"; "--csv" |]
+  in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  check_bool "wfs_sim exits 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+  let rows =
+    List.filter (fun l -> String.starts_with ~prefix:"SwapA-P," l) lines
+  in
+  check_int "one row per flow" 2 (List.length rows);
+  List.iter
+    (fun row ->
+      check_bool ("jain and worst_gap read - in " ^ row) true
+        (String.ends_with ~suffix:",-,-" row))
+    rows
 
 (* --- ALOHA contention --- *)
 
@@ -375,9 +444,7 @@ let test_csdps_no_compensation_vs_wps () =
   let run make_sched =
     let flows = mk_flows [| 1.; 1. |] in
     let sched = make_sched flows in
-    let monitor =
-      Core.Fairness.Monitor.create ~weights:[| 1.; 1. |] ~window:100 ~sched
-    in
+    let windows = Core.Fairness.create ~weights:[| 1.; 1. |] ~window:100 in
     let master = Rng.create 4242 in
     let setups =
       Array.init 2 (fun i ->
@@ -393,11 +460,11 @@ let test_csdps_no_compensation_vs_wps () =
     in
     let cfg =
       Core.Simulator.config ~predictor:Wfs_channel.Predictor.One_step
-        ~observer:(Core.Fairness.Monitor.observer monitor)
+        ~observer:(Core.Fairness.observer windows)
         ~horizon setups
     in
     let m = Core.Simulator.run cfg sched in
-    (Core.Fairness.Monitor.mean_jain monitor, Core.Metrics.delivered m ~flow:1)
+    ((summary_of windows).mean_jain, Core.Metrics.delivered m ~flow:1)
   in
   let jain_csdps, delivered_csdps =
     run (fun flows -> Core.Csdps.instance (Core.Csdps.create flows))
@@ -812,6 +879,9 @@ let suite =
     ("max normalized gap", `Quick, test_max_normalized_gap);
     ("fairness monitor fair case", `Quick, test_fairness_monitor_on_fair_schedule);
     ("fairness monitor unfair case", `Quick, test_fairness_monitor_detects_unfairness);
+    ("fairness window drops a drained flow", `Quick, test_fairness_scope_drops_drained_flow);
+    ("fairness CLI prints - with no window", `Quick,
+     test_fairness_cli_prints_dash_without_windows);
     ("aloha conservation", `Quick, test_aloha_conservation);
     ("aloha statistics", `Quick, test_aloha_statistics);
     ("aloha beats single-shot", `Quick, test_aloha_beats_single_shot_when_crowded);

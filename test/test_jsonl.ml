@@ -37,6 +37,7 @@ let window i =
     Windowed.index = i;
     start_slot = i * 10;
     end_slot = (i + 1) * 10;
+    flows = 2;
     jain = 1.0;
     gap = 0.0;
     arrivals = 3;

@@ -306,7 +306,7 @@ let test_fault_report_carries_flight_events () =
   let observer slot _ =
     if slot = 1500 then Error.sim_fault ~who:"test_obs" "injected fault"
   in
-  match Exec.run_outcome ~observer:(fun _ -> observer) ~flight_recorder:8 spec with
+  match Exec.run_outcome ~observer ~flight_recorder:8 spec with
   | Ok _ -> Alcotest.fail "injected fault must fail the run"
   | Error e ->
       check_str "kind" "sim-fault" (Error.kind_to_string e.Error.kind);

@@ -106,28 +106,35 @@ let test_seed_changes_sample_path () =
   in
   check_bool "different seeds differ" true (run 1 <> run 2)
 
-let test_run_with_channels_replay () =
-  (* Replaying recorded channel states gives identical results to the live
-     run that produced them. *)
+let test_channel_replay () =
+  (* Replaying recorded channel states through trace channels gives the
+     live run that produced them, metric for metric. *)
   let mk () = Core.Presets.example1 ~seed:77 () in
   let horizon = 2_000 in
+  let run setups =
+    Core.Simulator.run
+      (Core.Simulator.config ~horizon setups)
+      (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
+  in
   (* Record states from fresh channels. *)
   let recorded =
     Array.map
       (fun s -> Wfs_channel.Trace_ch.record s.Core.Simulator.channel ~slots:horizon)
       (mk ())
   in
-  let run_replay () =
-    let setups = mk () in
-    let cfg = Core.Simulator.config ~horizon setups in
-    let m =
-      Core.Simulator.run_with_channels cfg
-        (Core.Presets.scheduler Core.Presets.Swapa (Core.Presets.flows_of setups))
-        ~channel_states:recorded
-    in
-    (Core.Metrics.delivered m ~flow:0, Core.Metrics.mean_delay m ~flow:0)
+  let replay =
+    Array.mapi
+      (fun i (s : Core.Simulator.flow_setup) ->
+        {
+          s with
+          channel =
+            Wfs_channel.Trace_ch.create
+              (List.init horizon (fun slot -> (slot, recorded.(i).(slot))));
+        })
+      (mk ())
   in
-  check_bool "replay deterministic" true (run_replay () = run_replay ())
+  let json m = Wfs_util.Json.to_string (Core.Metrics.to_json m) in
+  Alcotest.(check string) "replay equals the live run" (json (run (mk ()))) (json (run replay))
 
 let test_observer_called_every_slot () =
   let setups = [| setup 0 ~source:(cbr 2.) ~channel:(Wfs_channel.Error_free.create ()) |] in
@@ -291,7 +298,7 @@ let suite =
     ("retx-or-delay policy", `Quick, test_retx_or_delay_policy);
     ("deterministic given seed", `Quick, test_deterministic_given_seed);
     ("seed changes sample path", `Quick, test_seed_changes_sample_path);
-    ("channel replay", `Quick, test_run_with_channels_replay);
+    ("channel replay", `Quick, test_channel_replay);
     ("observer per slot", `Quick, test_observer_called_every_slot);
     ("trace lifecycle", `Quick, test_trace_records_lifecycle);
     ("backlog remaining", `Quick, test_metrics_backlog_remaining);

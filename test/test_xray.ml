@@ -107,12 +107,13 @@ let event_gen =
 let window_gen =
   QCheck.Gen.(
     map
-      (fun (((index, start_slot), (end_slot, (jain, gap))),
+      (fun (((index, start_slot), (end_slot, (flows, (jain, gap)))),
             ((arrivals, delivered), ((dropped, backlog), loss))) ->
         {
           Windowed.index;
           start_slot;
           end_slot;
+          flows;
           jain;
           gap;
           arrivals;
@@ -124,7 +125,7 @@ let window_gen =
       (pair
          (pair
             (pair (0 -- 10_000) (0 -- 1_000_000))
-            (pair (0 -- 1_000_000) (pair float_gen float_gen)))
+            (pair (0 -- 1_000_000) (pair (0 -- 256) (pair float_gen float_gen))))
          (pair
             (pair (0 -- 100_000) (0 -- 100_000))
             (pair (pair (0 -- 100_000) (0 -- 100_000)) float_gen))))
@@ -258,6 +259,7 @@ let test_windows_torn_tail () =
             Windowed.index = 0;
             start_slot = 0;
             end_slot = 1000;
+            flows = 1;
             jain = 1.0;
             gap = 0.0;
             arrivals = 10;
@@ -339,7 +341,7 @@ let test_windowed_partial_flush () =
 let test_windowed_rejects_bad_config () =
   Alcotest.check_raises "window < 1"
     (Error.Error
-       (Error.v Error.Bad_config ~who:"Windowed.create" "window must be >= 1"))
+       (Error.v Error.Bad_config ~who:"Fairness.create" "window must be >= 1"))
     (fun () -> ignore (Windowed.create ~weights:[| 1.0 |] ~window:0))
 
 (* --- skip telemetry: observe the fast path without degenerating it --- *)
